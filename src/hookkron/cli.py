@@ -37,15 +37,7 @@ def _print_table(table: DecompositionTable, fmt: str, with_hook: bool) -> None:
         columns = ["mu", "ph", "pw", "by_zeta"] if with_hook else ["mu", "pw", "by_zeta"]
         print("\t".join(columns))
         for row in table.rows:
-            blob = json.dumps(
-                [
-                    {"zeta": list(zc.zeta)}
-                    | ({"ph": zc.ph} if zc.ph is not None else {})
-                    | {"pw": zc.pw}
-                    for zc in row.by_zeta
-                ],
-                separators=(",", ":"),
-            )
+            blob = json.dumps([zc.to_json() for zc in row.by_zeta], separators=(",", ":"))
             fields = [format_partition(row.mu)]
             if with_hook:
                 fields.append(str(row.ph))
@@ -129,13 +121,26 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         text = sys.stdin.read()
     obj = json.loads(text)
-    if "entries" in obj:
-        print(render_tableau(tableau_from_json(obj)))
-    elif "map" in obj:
-        print(render_picture(picture_from_json(obj)))
-    else:
-        raise ValueError("input JSON is neither a tableau nor a picture")
+    if not isinstance(obj, dict):
+        raise ValueError("input JSON must be an object")
+    try:
+        if "entries" in obj:
+            item, render = tableau_from_json(obj), render_tableau
+        elif "map" in obj:
+            item, render = picture_from_json(obj), render_picture
+        else:
+            raise ValueError("input JSON is neither a tableau nor a picture")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed input JSON: {type(exc).__name__}: {exc}") from None
+    print(render(item))
     return 0
+
+
+def worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     decompose.add_argument("--m", type=int, required=True)
     decompose.add_argument("--format", choices=("json", "tsv", "ascii"), default="ascii")
-    decompose.add_argument("--jobs", type=int, default=1)
+    decompose.add_argument("--jobs", type=worker_count, default=1)
     decompose.set_defaults(func=cmd_decompose)
 
     exterior = sub.add_parser(
@@ -158,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exterior.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     exterior.add_argument("--m", type=int, required=True)
     exterior.add_argument("--format", choices=("json", "tsv", "ascii"), default="ascii")
-    exterior.add_argument("--jobs", type=int, default=1)
+    exterior.add_argument("--jobs", type=worker_count, default=1)
     exterior.set_defaults(func=cmd_exterior)
 
     pictures = sub.add_parser("pictures", help="enumerate pictures of one overlap")
@@ -180,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="sweep picture counts against the character oracle")
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--n-min", type=int, default=None, dest="n_min")
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=worker_count, default=1)
     verify.add_argument("--cache", default=None, help="character table cache file")
     verify.set_defaults(func=cmd_verify)
 

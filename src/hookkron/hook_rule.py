@@ -14,6 +14,7 @@ leg sizes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -158,7 +159,7 @@ def step_F(tp: TypedPicture) -> TypedPicture:
 def multiplicity_exterior(lam: Partition, mu: Partition, m: int) -> int:
     """Multiplicity of ``mu`` in ``lam`` tensored with the m-th exterior power
     of the defining module: the total picture count."""
-    return len(pw_m_set(lam, mu, m))
+    return _table_row(lam, mu, m, with_hook=False).pw
 
 
 def multiplicity_hook(lam: Partition, mu: Partition, m: int) -> int:
@@ -167,22 +168,13 @@ def multiplicity_hook(lam: Partition, mu: Partition, m: int) -> int:
     n = sum(lam)
     if not 0 <= m < n:
         raise RangeError(f"need 0 <= m < n, got m={m}, n={n}")
-    return sum(1 for tp in pw_m_set(lam, mu, m) if balanced_cocorner(tp) is not None)
+    return _table_row(lam, mu, m, with_hook=True).ph
 
 
 def picture_counts(lam: Partition, mu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-leg counts (hook, exterior) for m = 0..n in one enumeration sweep."""
-    n = sum(lam)
-    if sum(mu) != n:
-        raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
-    hook = [0] * (n + 1)
-    exterior = [0] * (n + 1)
-    for m in range(n + 1):
-        for tp in pw_m_set(lam, mu, m):
-            exterior[m] += 1
-            if balanced_cocorner(tp) is not None:
-                hook[m] += 1
-    return tuple(hook), tuple(exterior)
+    rows = [_table_row(lam, mu, m, with_hook=True) for m in range(sum(lam) + 1)]
+    return tuple(row.ph for row in rows), tuple(row.pw for row in rows)
 
 
 @dataclass(frozen=True)
@@ -190,6 +182,13 @@ class ZetaCount:
     zeta: Partition
     ph: int | None
     pw: int
+
+    def to_json(self) -> dict:
+        out: dict = {"zeta": list(self.zeta)}
+        if self.ph is not None:
+            out["ph"] = self.ph
+        out["pw"] = self.pw
+        return out
 
 
 @dataclass(frozen=True)
@@ -216,45 +215,34 @@ class DecompositionTable:
             if row.ph is not None:
                 entry["ph"] = row.ph
             entry["pw"] = row.pw
-            entry["by_zeta"] = [
-                {"zeta": list(zc.zeta)}
-                | ({"ph": zc.ph} if zc.ph is not None else {})
-                | {"pw": zc.pw}
-                for zc in row.by_zeta
-            ]
+            entry["by_zeta"] = [zc.to_json() for zc in row.by_zeta]
             rows.append(entry)
         return {"lambda": list(self.lam), "m": self.m, "rows": rows}
 
 
-def _table_row(lam: Partition, mu: Partition, m: int, with_hook: bool) -> TableRow | None:
+def _table_row(lam: Partition, mu: Partition, m: int, with_hook: bool) -> TableRow:
+    """One table row's picture counts, per overlap and in total (``ph`` only
+    ``with_hook``); every hook and exterior-power count goes through here."""
     n = sum(lam)
+    if sum(mu) != n:
+        raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
+    if not 0 <= m <= n:
+        raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
     by_zeta = []
-    ph_total = 0
-    pw_total = 0
     for zeta in partitions(n - m):
         pics = pw_set(lam, mu, zeta)
         if not pics:
             continue
-        ph = None
-        if with_hook:
-            ph = sum(1 for tp in pics if balanced_cocorner(tp) is not None)
-            ph_total += ph
-        pw_total += len(pics)
+        ph = sum(1 for tp in pics if balanced_cocorner(tp) is not None) if with_hook else None
         by_zeta.append(ZetaCount(zeta, ph, len(pics)))
-    if pw_total == 0:
-        return None
-    return TableRow(mu, ph_total if with_hook else None, pw_total, tuple(by_zeta))
+    ph_total = sum(zc.ph for zc in by_zeta) if with_hook else None
+    return TableRow(mu, ph_total, sum(zc.pw for zc in by_zeta), tuple(by_zeta))
 
 
 def _decompose(lam: Partition, m: int, with_hook: bool, jobs: int = 1) -> DecompositionTable:
-    n = sum(lam)
-    tasks = [(lam, mu, m, with_hook) for mu in partitions(n)]
-    rows = ordered_map(_row_task, tasks, jobs)
-    return DecompositionTable(lam, m, tuple(row for row in rows if row is not None))
-
-
-def _row_task(args: tuple) -> TableRow | None:
-    return _table_row(*args)
+    task = functools.partial(_table_row, lam, m=m, with_hook=with_hook)
+    rows = ordered_map(task, partitions(sum(lam)), jobs)
+    return DecompositionTable(lam, m, tuple(row for row in rows if row.pw))
 
 
 def decompose_tensor_hook(lam: Partition, m: int, jobs: int = 1) -> DecompositionTable:

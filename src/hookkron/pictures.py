@@ -16,7 +16,6 @@ from .errors import (
     NotAddableError,
     NotInnerCornerError,
     NotRemmelWhitneyError,
-    NotRemovableError,
 )
 from .shapes import (
     Cell,
@@ -26,12 +25,13 @@ from .shapes import (
     icc_bar,
     inner_cocorners,
     inner_corners,
-    leq_nw,
     leq_sw,
+    lt_sw,
     remove_cell,
     skew,
 )
-from .tableaux import BumpRoute, PartialTableau, delete, row_reading
+from .tableaux import BumpRoute, PartialTableau, bump_route, delete, render_grid, row_reading
+from .tableaux import removable_corners as tableau_removable_corners
 
 
 class Picture:
@@ -84,29 +84,25 @@ class Picture:
 def _validate_picture(
     source: SkewShape, target: SkewShape, mapping: dict[Cell, Cell]
 ) -> dict[Cell, Cell]:
-    src_cells = source.cells()
-    tgt_cells = target.cells()
-    if set(mapping) != set(src_cells):
+    if set(mapping) != set(source.cells()):
         raise ValueError("mapping keys must be exactly the source cells")
     inv: dict[Cell, Cell] = {}
     for x, y in mapping.items():
         if y in inv:
             raise ValueError(f"mapping is not injective at {format_cell(y)}")
         inv[y] = x
-    if set(inv) != set(tgt_cells):
+    if set(inv) != set(target.cells()):
         raise ValueError("mapping values must be exactly the target cells")
-    for k, x in enumerate(src_cells):
-        for y in src_cells[k + 1:]:
-            if leq_nw(x, y) and not leq_sw(mapping[x], mapping[y]):
-                raise ValueError(f"not order-preserving at {x}, {y}")
-            if leq_nw(y, x) and not leq_sw(mapping[y], mapping[x]):
-                raise ValueError(f"not order-preserving at {y}, {x}")
-    for k, s in enumerate(tgt_cells):
-        for u in tgt_cells[k + 1:]:
-            if leq_nw(s, u) and not leq_sw(inv[s], inv[u]):
-                raise ValueError(f"inverse not order-preserving at {s}, {u}")
-            if leq_nw(u, s) and not leq_sw(inv[u], inv[s]):
-                raise ValueError(f"inverse not order-preserving at {u}, {s}")
+    # A skew diagram is convex: every cell between two of its cells in the
+    # northwest order lies in it, so that order is generated by right and down
+    # neighbour pairs.  The southwest order is transitive, so checking
+    # neighbour pairs both ways accepts exactly the order-preserving maps.
+    for forward, what in ((mapping, "not"), (inv, "inverse not")):
+        for (i, j), image in forward.items():
+            for neighbour in ((i, j + 1), (i + 1, j)):
+                other = forward.get(neighbour)
+                if other is not None and not leq_sw(image, other):
+                    raise ValueError(f"{what} order-preserving at {(i, j)}, {neighbour}")
     return inv
 
 
@@ -233,29 +229,7 @@ def picture_bump_destination(p: Picture, z: Cell) -> tuple[Cell, BumpRoute]:
         raise InvalidCocornerError(
             f"{format_cell(z)} is not an inner or extreme cocorner of {p.target}"
         )
-    source = p.source
-    cells: list[Cell] = []
-    landed: list[Cell] = []
-    carry = z
-    for i in range(source.length, 0, -1):
-        lo, hi = source.row_bounds(i)
-        hit = None
-        for j in range(hi, lo, -1):
-            image = p[(i, j)]
-            if image != carry and leq_sw(image, carry):
-                hit = j
-                break
-        if hit is None:
-            cells.append((i, lo))
-            landed.append(carry)
-            route = BumpRoute(tuple(cells), tuple(landed))
-            return route.destination, route
-        cells.append((i, hit))
-        landed.append(carry)
-        carry = p[(i, hit)]
-    cells.append((0, source.outer[0]))
-    landed.append(carry)
-    route = BumpRoute(tuple(cells), tuple(landed))
+    route = bump_route(p.source, p._map.__getitem__, z, lt_sw)
     return route.destination, route
 
 
@@ -311,15 +285,7 @@ def addable_cocorners(p: Picture) -> list[Cell]:
 
 def removable_corners(p: Picture) -> list[Cell]:
     """Source inner corners at which :func:`picture_delete` succeeds."""
-    t = picture_to_rw(p, row_reading(p.target))
-    out = []
-    for v in inner_corners(p.source):
-        try:
-            delete(t, v)
-        except NotRemovableError:
-            continue
-        out.append(v)
-    return out
+    return tableau_removable_corners(picture_to_rw(p, row_reading(p.target)))
 
 
 def picture_to_json(p: Picture) -> dict:
@@ -360,30 +326,11 @@ def render_picture(p: Picture, route: BumpRoute | None = None) -> str:
     if marked:
         width += 1
 
-    def grid(shape: SkewShape, label_of: dict[Cell, str], stars: set[Cell]) -> list[str]:
-        lines = []
-        for i in range(1, shape.length + 1):
-            lo, hi = shape.row_bounds(i)
-            boxes = []
-            for j in range(1, hi + 1):
-                cell = (i, j)
-                if cell in label_of:
-                    text = label_of[cell]
-                    if cell in stars:
-                        text += "*"
-                    boxes.append(f"[{text.rjust(width)}]")
-                elif cell in stars:
-                    boxes.append(f"[{'*'.rjust(width)}]")
-                else:
-                    boxes.append(" " * (width + 2))
-            lines.append("".join(boxes).rstrip())
-        return lines
-
     src_labels = {x: labels[reading[p[x]] - 1] for x in p.source.cells()}
     tgt_labels = {y: labels[reading[y] - 1].upper() for y in p.target.cells()}
     # the route lives on the source diagram only
-    left_lines = grid(p.source, src_labels, marked)
-    right_lines = grid(p.target, tgt_labels, set())
+    left_lines = render_grid(p.source, src_labels, marked, width)
+    right_lines = render_grid(p.target, tgt_labels, set(), width)
     height = max(len(left_lines), len(right_lines))
     left_width = max((len(line) for line in left_lines), default=0)
     lines = []

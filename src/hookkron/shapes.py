@@ -84,6 +84,11 @@ def leq_sw(a: Cell, b: Cell) -> bool:
     return b[0] <= a[0] and a[1] <= b[1]
 
 
+def lt_sw(a: Cell, b: Cell) -> bool:
+    """Strict southwest order: ``a`` below-left of ``b`` and distinct from it."""
+    return a != b and b[0] <= a[0] and a[1] <= b[1]
+
+
 def sw_key(c: Cell) -> tuple[int, int]:
     """Sort key that lists pairwise southwest-comparable cells in ascending order."""
     return (-c[0], c[1])

@@ -10,8 +10,9 @@ stops at the first row it cannot enter, vacating a cell on the inner boundary
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import (
     DuplicateValueError,
@@ -29,6 +30,8 @@ from .shapes import (
     remove_cell,
     skew,
 )
+
+T = TypeVar("T")
 
 
 class PartialTableau:
@@ -128,13 +131,8 @@ class BumpRoute:
 
 
 def bump_destination(t: PartialTableau, a: int) -> BumpRoute:
-    """Trace the insertion of ``a`` without modifying the tableau.
-
-    Rows are scanned from the bottom up.  In each row the carried value
-    replaces the right-most strictly smaller entry; a row all of whose entries
-    are larger (in particular an empty row) stops the route just left of it,
-    and falling off the top stops at ``(0, outer[0])``.
-    """
+    """Trace the insertion of ``a`` without modifying the tableau: the
+    :func:`bump_route` of ``a`` through the entries, compared by ``<``."""
     shape = t.shape
     if shape.length == 0:
         raise RangeError("cannot bump into a shape with no rows")
@@ -142,23 +140,32 @@ def bump_destination(t: PartialTableau, a: int) -> BumpRoute:
         raise ValueError(f"inserted value must be positive, got {a}")
     if a in t.image():
         raise DuplicateValueError(f"value {a} is already present")
+    return bump_route(shape, t._entries.__getitem__, a, operator.lt)
+
+
+def bump_route(
+    shape: SkewShape, entry: Callable[[Cell], T], carry: T, lt: Callable[[T, T], bool]
+) -> BumpRoute:
+    """The bottom-up row loop shared by tableau and picture insertion.
+
+    ``entry`` reads the filling of ``shape``, which increases along rows in
+    the strict order ``lt``.  In each row the carried value replaces the
+    right-most entry ``lt`` it; a row with no such entry stops the route just
+    left of it, and falling off the top stops at ``(0, outer[0])``.
+    """
     cells: list[Cell] = []
-    landed: list[int] = []
-    carry = a
+    landed: list[T] = []
     for i in range(shape.length, 0, -1):
         lo, hi = shape.row_bounds(i)
-        hit = None
-        for j in range(hi, lo, -1):
-            if t[(i, j)] < carry:
-                hit = j
-                break
-        if hit is None:
-            cells.append((i, lo))
-            landed.append(carry)
-            return BumpRoute(tuple(cells), tuple(landed))
-        cells.append((i, hit))
         landed.append(carry)
-        carry = t[(i, hit)]
+        for j in range(hi, lo, -1):
+            if lt(entry((i, j)), carry):
+                break
+        else:
+            cells.append((i, lo))
+            return BumpRoute(tuple(cells), tuple(landed))
+        cells.append((i, j))
+        carry = entry((i, j))
     cells.append((0, shape.outer[0]))
     landed.append(carry)
     return BumpRoute(tuple(cells), tuple(landed))
@@ -244,20 +251,30 @@ def render_tableau(t: PartialTableau, route: BumpRoute | None = None) -> str:
     width = max((len(str(v)) for v in t.image()), default=1)
     if marked:
         width += 1
+    labels = {cell: str(v) for cell, v in t.items()}
+    return "\n".join(render_grid(t.shape, labels, marked, width))
+
+
+def render_grid(
+    shape: SkewShape, label_of: Mapping[Cell, str], stars: set[Cell], width: int
+) -> list[str]:
+    """One line per row of ``shape``: each cell's label in a box ``width``
+    wide, inner cells blank, starred cells marked with ``*``."""
     lines = []
-    for i in range(1, t.shape.length + 1):
-        lo, hi = t.shape.row_bounds(i)
+    for i in range(1, shape.length + 1):
+        _, hi = shape.row_bounds(i)
         boxes = []
         for j in range(1, hi + 1):
-            if j > lo:
-                text = str(t[(i, j)])
-                if (i, j) in marked:
+            cell = (i, j)
+            if cell in label_of:
+                text = label_of[cell]
+                if cell in stars:
                     text += "*"
                 boxes.append(f"[{text.rjust(width)}]")
-            elif (i, j) in marked:
+            elif cell in stars:
                 # an inner destination cell: show where the route stops
                 boxes.append(f"[{'*'.rjust(width)}]")
             else:
                 boxes.append(" " * (width + 2))
         lines.append("".join(boxes).rstrip())
-    return "\n".join(lines)
+    return lines

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -62,6 +63,15 @@ class TestDecompose:
         fields = row.split("\t")
         assert fields[1] == "2" and fields[2] == "7"
         assert {"zeta": [3, 1], "ph": 2, "pw": 3} in json.loads(fields[3])
+        # the TSV column and the JSON table share one by-zeta serialiser
+        _, out, _ = run_cli(
+            capsys, "decompose", "--lambda", "5,3,1,1", "--m", "6", "--format", "json"
+        )
+        json_rows = json.loads(out)["rows"]
+        tsv_rows = [line.split("\t") for line in lines[1:]]
+        assert len(tsv_rows) == len(json_rows)
+        for fields, row in zip(tsv_rows, json_rows):
+            assert fields[3] == json.dumps(row["by_zeta"], separators=(",", ":"))
 
 
 class TestExterior:
@@ -216,6 +226,18 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", "--in", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"entries":[]}', "1", '{"outer":5,"inner":[],"entries":[]}'],
+        ids=["missing-key", "not-an-object", "wrong-type"],
+    )
+    def test_malformed_input_exits_2(self, capsys, monkeypatch, payload):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        code, out, err = run_cli(capsys, "render")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -223,6 +245,21 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run_cli(capsys, "decompose", "--m", "1")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--lambda", "2,1", "--m", "1", "--jobs", "0"],
+            ["exterior", "--lambda", "2,1", "--m", "1", "--jobs", "-3"],
+            ["verify", "--n", "2", "--jobs", "0"],
+        ],
+        ids=["decompose", "exterior", "verify"],
+    )
+    def test_jobs_below_one_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
 
     def test_console_entry_point(self):
         result = subprocess.run(

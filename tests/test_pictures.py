@@ -1,3 +1,4 @@
+import itertools
 import json
 from random import Random
 
@@ -45,6 +46,29 @@ class TestPictureValidation:
     def test_identity_on_single_cell(self):
         p = Picture(skew((1,), ()), skew((1,), ()), {(1, 1): (1, 1)})
         assert p[(1, 1)] == (1, 1)
+
+    def test_accepts_exactly_the_brute_force_maps(self):
+        # neighbour-pair validation against the pairwise reference, on every
+        # bijection between small shapes of equal size
+        shapes = util.small_skew_shapes(max_outer=5, max_cells=5)
+        checked = 0
+        for source in shapes:
+            for target in shapes:
+                if source.size != target.size:
+                    continue
+                expected = {
+                    tuple(m.items()) for m in util.brute_force_picture_maps(source, target)
+                }
+                for perm in itertools.permutations(target.cells()):
+                    mapping = dict(zip(source.cells(), perm))
+                    try:
+                        Picture(source, target, mapping)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == (tuple(mapping.items()) in expected)
+                    checked += 1
+        assert checked == 14125
 
 
 class TestRemmelWhitneyCorrespondence:

@@ -1,6 +1,9 @@
+import os
+
 import pytest
 
 import hookkron.hook_rule as hook_rule
+from hookkron import parallel
 from hookkron.verify import verify_range
 
 
@@ -31,3 +34,14 @@ class TestVerifyRange:
             for f in report.mismatches
         )
         assert "failures" in report.summary()
+
+
+class TestOrderedMap:
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        tasks = list(range(10))
+        assert parallel.ordered_map(abs, tasks, jobs=64) == [abs(t) for t in tasks]
