@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse, file or
+oracle error.
 JSON output is byte-identical across runs and across ``--jobs`` settings.
 """
 
@@ -204,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

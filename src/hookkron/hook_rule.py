@@ -20,34 +20,29 @@ from dataclasses import dataclass
 from .errors import (
     NotCoHookShapeError,
     NotHookShapeError,
-    NotRemovableError,
     RangeError,
     SizeMismatchError,
 )
 from .parallel import ordered_map
-from .pictures import (
-    Picture,
-    enumerate_pictures,
-    picture_bump_destination,
-    picture_delete,
-    picture_insert,
-    picture_to_rw,
-)
+from .pictures import Picture, enumerate_pictures, picture_delete, picture_insert
 from .shapes import (
     Cell,
     Partition,
+    SkewShape,
     add_cell,
+    conjugate,
     contains,
     format_partition,
     inner_cocorners,
     inner_corners,
+    lt_sw,
     partitions,
     remove_cell,
     skew,
     transpose_cell,
     transpose_shape,
 )
-from .tableaux import delete, row_reading
+from .tableaux import bump_route, delete_route
 
 
 @dataclass(frozen=True)
@@ -65,12 +60,11 @@ class TypedPicture:
             raise SizeMismatchError(
                 f"labels must partition the same n: {self.lam}, {self.mu}"
             )
-        if not (contains(self.lam, self.zeta) and contains(self.mu, self.zeta)):
-            raise ValueError(f"{self.zeta} must sit inside both {self.lam} and {self.mu}")
-        if self.picture.source != transpose_shape(skew(self.mu, self.zeta)):
-            raise ValueError("picture source must be the transposed mu/zeta shape")
-        if self.picture.target != skew(self.lam, self.zeta):
+        # the picture's shapes are nested, so equal shapes put zeta inside lam and mu
+        if self.picture.target != SkewShape(self.lam, self.zeta):
             raise ValueError("picture target must be the lam/zeta shape")
+        if self.picture.source != SkewShape(conjugate(self.mu), conjugate(self.zeta)):
+            raise ValueError("picture source must be the transposed mu/zeta shape")
 
     @property
     def m(self) -> int:
@@ -85,6 +79,8 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
         return []
     source = transpose_shape(skew(mu, zeta))
     target = skew(lam, zeta)
+    # label with the canonical partitions the shapes hold, as TypedPicture compares them
+    lam, mu, zeta = target.outer, conjugate(source.outer), target.inner
     return [TypedPicture(lam, mu, zeta, p) for p in enumerate_pictures(source, target)]
 
 
@@ -106,8 +102,7 @@ def balanced_cocorner(tp: TypedPicture) -> Cell | None:
     or None.  Scans in southwest order; the first hit is the only one."""
     p = tp.picture
     for z in inner_cocorners(p.target):
-        destination, _ = picture_bump_destination(p, z)
-        if destination == transpose_cell(z):
+        if bump_route(p.source, p._map.__getitem__, z, lt_sw).destination == transpose_cell(z):
             return z
     return None
 
@@ -116,19 +111,10 @@ def balanced_corner(tp: TypedPicture) -> Cell | None:
     """The target-side cell emitted by the unique self-transpose deletion,
     or None.  The deleted source corner is the transpose of the result."""
     p = tp.picture
-    corners = inner_corners(p.source)
-    if not corners:
-        return None
-    tableau = picture_to_rw(p, row_reading(p.target))
-    tgt_cells = p.target.cells()
-    for v in corners:
-        try:
-            _, out_value = delete(tableau, v)
-        except NotRemovableError:
-            continue
-        w = tgt_cells[out_value - 1]
-        if w == transpose_cell(v):
-            return w
+    for v in inner_corners(p.source):
+        route = delete_route(p.source, p._map.__getitem__, v, lt_sw)
+        if route is not None and route[1] == transpose_cell(v):
+            return route[1]
     return None
 
 

@@ -4,13 +4,15 @@ Everything is exact integer arithmetic: character values come from the
 border-strip recursion on beta-numbers, tensor multiplicities from the
 class-weighted triple product divided by n! with a hard zero-remainder check.
 Tables are cached in memory per degree and can be persisted to a small JSON
-file for reuse across runs.
+file for reuse across runs; a stored table is used only if it passes the row
+orthogonality relations.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -124,23 +126,75 @@ def _table_from_json(obj: dict) -> CharacterTable:
     return CharacterTable(n, parts, rows, sizes)
 
 
+def _is_character_table(table: CharacterTable) -> bool:
+    """Row orthonormality with positive degrees: summed over the classes,
+    size times chi_a times chi_b is n! when a = b and 0 otherwise, and the
+    identity-class column is positive.  Pairs of distinct rows are checked
+    too, so a flipped sign is caught, not only a changed magnitude."""
+    rows, count = table.rows, len(table.parts)
+    if len(rows) != count or any(len(row) != count for row in rows):
+        return False
+    order = factorial(table.n)
+    for a, row_a in enumerate(rows):
+        if row_a[-1] <= 0:
+            return False
+        for b in range(a, count):
+            total = sum(c * x * y for c, x, y in zip(table.class_sizes, row_a, rows[b]))
+            if total != (order if a == b else 0):
+                return False
+    return True
+
+
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
-    obj = json.loads(Path(path).read_text())
-    if obj.get("version") != CACHE_FORMAT_VERSION:
+    """The valid tables stored at ``path``.
+
+    A file that is not JSON, or a table that is malformed or fails the
+    orthogonality check, is skipped with one warning line on stderr, so the
+    table is recomputed (and the file rewritten) when it is next needed.  An
+    unknown format version raises, so a newer file is never overwritten.
+    """
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError:
+        _warn(f"cache file {path} is not valid JSON; ignoring it")
+        return {}
+    if not isinstance(obj, dict) or obj.get("version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported cache version in {path}")
+    entries = obj.get("tables")
+    if not isinstance(entries, list):
+        _warn(f"cache file {path} has no list of tables; ignoring it")
+        return {}
     out = {}
-    for entry in obj["tables"]:
-        table = _table_from_json(entry)
+    for k, entry in enumerate(entries):
+        try:
+            table = _table_from_json(entry)
+        except (KeyError, TypeError, ValueError):
+            table = None
+        if table is None or not _is_character_table(table):
+            _warn(f"cache file {path}: table {k + 1} is damaged; ignoring it")
+            continue
         out[table.n] = table
     return out
 
 
 def save_cache_file(path: str | Path, tables: dict[int, CharacterTable]) -> None:
+    """Write ``tables`` through a temporary file in the same directory, so an
+    interrupted write never leaves a truncated cache behind."""
     payload = {
         "version": CACHE_FORMAT_VERSION,
         "tables": [tables[n].to_json() for n in sorted(tables)],
     }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def character_table(

@@ -16,6 +16,7 @@ from .errors import (
     NotAddableError,
     NotInnerCornerError,
     NotRemmelWhitneyError,
+    NotRemovableError,
 )
 from .shapes import (
     Cell,
@@ -30,8 +31,7 @@ from .shapes import (
     remove_cell,
     skew,
 )
-from .tableaux import BumpRoute, PartialTableau, bump_route, delete, render_grid, row_reading
-from .tableaux import removable_corners as tableau_removable_corners
+from .tableaux import BumpRoute, PartialTableau, bump_route, delete_route, render_grid, row_reading
 
 
 class Picture:
@@ -242,10 +242,7 @@ def picture_insert(p: Picture, z: Cell) -> Picture:
             f"{format_cell(destination)} or the cocorner itself is extreme"
         )
     mapping = dict(p._map)
-    cells = route.cells
-    mapping[cells[0]] = z
-    for k in range(1, len(cells)):
-        mapping[cells[k]] = p[cells[k - 1]]
+    mapping.update(zip(route.cells, route.displaced))
     new_source = skew(p.source.outer, remove_cell(p.source.inner, destination))
     new_target = skew(p.target.outer, remove_cell(p.target.inner, z))
     return Picture(new_source, new_target, mapping)
@@ -255,21 +252,23 @@ def picture_delete(p: Picture, v: Cell) -> tuple[Picture, Cell]:
     """Inverse of :func:`picture_insert`: vacate source inner corner ``v``.
 
     Returns the shrunken picture together with the target inner corner that
-    the deletion pushes out.  Implemented through the row reading of the
-    target, which is faithful for removability and for the output cell.
+    the deletion pushes out: the :func:`delete_route` from ``v`` through the
+    map, whose images increase along each source row in the southwest order.
     """
     if v not in inner_corners(p.source):
         raise NotInnerCornerError(
             f"{format_cell(v)} is not an inner corner of {p.source}"
         )
-    reading = row_reading(p.target)
-    tgt_cells = p.target.cells()
-    t = picture_to_rw(p, reading)
-    t2, out_value = delete(t, v)
-    w = tgt_cells[out_value - 1]
+    route = delete_route(p.source, p._map.__getitem__, v, lt_sw)
+    if route is None:
+        raise NotRemovableError(f"{format_cell(v)} is not removable from {p.source}")
+    cells, w = route
+    mapping = dict(p._map)
+    mapping.update(zip(cells[1:], [p[x] for x in cells[:-1]]))
+    del mapping[v]
+    new_source = skew(p.source.outer, add_cell(p.source.inner, v))
     new_target = skew(p.target.outer, add_cell(p.target.inner, w))
-    mapping = {x: tgt_cells[value - 1] for x, value in t2.items()}
-    return Picture(t2.shape, new_target, mapping), w
+    return Picture(new_source, new_target, mapping), w
 
 
 def addable_cocorners(p: Picture) -> list[Cell]:
@@ -285,7 +284,8 @@ def addable_cocorners(p: Picture) -> list[Cell]:
 
 def removable_corners(p: Picture) -> list[Cell]:
     """Source inner corners at which :func:`picture_delete` succeeds."""
-    return tableau_removable_corners(picture_to_rw(p, row_reading(p.target)))
+    entry = p._map.__getitem__
+    return [v for v in inner_corners(p.source) if delete_route(p.source, entry, v, lt_sw)]
 
 
 def picture_to_json(p: Picture) -> dict:

@@ -187,48 +187,50 @@ def insert(t: PartialTableau, a: int) -> PartialTableau:
 
 
 def delete(t: PartialTableau, v: Cell) -> tuple[PartialTableau, int]:
-    """Inverse of :func:`insert`: vacate inner corner ``v`` and emit a value.
-
-    Starting from ``v`` the displaced entry drops one row at a time into the
-    left-most strictly larger entry; the value pushed out of the bottom row is
-    returned.  The chain must reach the bottom row for ``v`` to be removable.
-    """
+    """Inverse of :func:`insert`: vacate inner corner ``v`` and emit the value
+    that its :func:`delete_route`, compared by ``<``, pushes out."""
     shape = t.shape
     if v not in inner_corners(shape):
         raise NotInnerCornerError(f"{format_cell(v)} is not an inner corner of {shape}")
-    seq = [v]
-    carry = t[v]
-    for i in range(v[0] + 1, shape.length + 1):
-        lo, hi = shape.row_bounds(i)
-        hit = None
-        for j in range(lo + 1, hi + 1):
-            if t[(i, j)] > carry:
-                hit = j
-                break
-        if hit is None:
-            raise NotRemovableError(
-                f"{format_cell(v)} is not removable: no larger entry in row {i}"
-            )
-        seq.append((i, hit))
-        carry = t[(i, hit)]
+    route = delete_route(shape, t._entries.__getitem__, v, operator.lt)
+    if route is None:
+        raise NotRemovableError(f"{format_cell(v)} is not removable from {shape}")
+    cells, out = route
     entries = dict(t._entries)
-    for k in range(len(seq) - 1, 0, -1):
-        entries[seq[k]] = t[seq[k - 1]]
+    entries.update(zip(cells[1:], [t[cell] for cell in cells[:-1]]))
     del entries[v]
     new_shape = skew(shape.outer, add_cell(shape.inner, v))
-    return PartialTableau(new_shape, entries), carry
+    return PartialTableau(new_shape, entries), out
+
+
+def delete_route(
+    shape: SkewShape, entry: Callable[[Cell], T], v: Cell, lt: Callable[[T, T], bool]
+) -> tuple[tuple[Cell, ...], T] | None:
+    """The top-down row loop shared by tableau and picture deletion.
+
+    Starting from inner corner ``v`` of ``shape``, the carried entry drops
+    into the left-most entry of each lower row that it is ``lt``.  Returns the
+    visited cells, ``v`` first, and the entry pushed out of the bottom row, or
+    None when some row has no such entry.
+    """
+    cells = [v]
+    carry = entry(v)
+    for i in range(v[0] + 1, shape.length + 1):
+        lo, hi = shape.row_bounds(i)
+        for j in range(lo + 1, hi + 1):
+            if lt(carry, entry((i, j))):
+                break
+        else:
+            return None
+        cells.append((i, j))
+        carry = entry((i, j))
+    return tuple(cells), carry
 
 
 def removable_corners(t: PartialTableau) -> list[Cell]:
     """Inner corners at which :func:`delete` succeeds, in southwest order."""
-    out = []
-    for v in inner_corners(t.shape):
-        try:
-            delete(t, v)
-        except NotRemovableError:
-            continue
-        out.append(v)
-    return out
+    entry = t._entries.__getitem__
+    return [v for v in inner_corners(t.shape) if delete_route(t.shape, entry, v, operator.lt)]
 
 
 def tableau_to_json(t: PartialTableau) -> dict:

@@ -196,6 +196,27 @@ class TestVerify:
         stored = json.loads(path.read_text())
         assert any(entry["n"] == 2 for entry in stored["tables"])
 
+    @pytest.mark.parametrize("damage", ["plus-one", "sign-flip", "truncated"])
+    def test_damaged_cache_is_recomputed(self, capsys, monkeypatch, tmp_path, damage):
+        import hookkron.oracle as oracle
+
+        path = tmp_path / "cache.json"
+        assert run_cli(capsys, "verify", "--n", "5", "--cache", str(path))[0] == 0
+        good = path.read_text()
+        data = json.loads(good)
+        row = data["tables"][0]["rows"][1]
+        if damage == "plus-one":
+            row[0] += 1
+        elif damage == "sign-flip":
+            row[0] = -row[0]
+        path.write_text(good[:100] if damage == "truncated" else json.dumps(data))
+        # no table in memory, so the damaged one would be read from the file
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        code, out, err = run_cli(capsys, "verify", "--n", "5", "--cache", str(path))
+        assert (code, out) == (0, "checks: 833, all pass\n")
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert path.read_text() == good
+
 
 class TestRender:
     def test_tableau_grid(self, capsys, tmp_path):
@@ -260,6 +281,32 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "--jobs" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "--in", "{tmp}/missing.json"],
+            ["verify", "--n", "4", "--cache", "{tmp}"],
+        ],
+        ids=["missing-input-file", "cache-is-a-directory"],
+    )
+    def test_os_error_exits_2(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_oracle_error_exits_2(self, capsys, monkeypatch):
+        import hookkron.oracle as oracle
+
+        def broken(*args, **kwargs):
+            raise ArithmeticError("inner product is not integral")
+
+        monkeypatch.setattr(oracle, "kronecker", broken)
+        code, out, err = run_cli(capsys, "verify", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: inner product is not integral\n"
 
     def test_console_entry_point(self):
         result = subprocess.run(

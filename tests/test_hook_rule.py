@@ -73,6 +73,30 @@ class TestPwSets:
         with pytest.raises(SizeMismatchError):
             pw_set((3, 1), (2, 2, 1), (2,))
 
+    def test_labels_spelled_as_lists(self):
+        assert multiplicity_hook([5, 3, 1, 1], [4, 3, 3], 6) == 2
+        spelled = pw_set([2, 1, 0], [2, 1], [1])
+        assert [tp.picture for tp in spelled] == [
+            tp.picture for tp in pw_set((2, 1), (2, 1), (1,))
+        ]
+
+
+class TestTypedPictureLabels:
+    def test_sizes_differ(self):
+        picture = pw_set((2, 1), (2, 1), (1,))[0].picture
+        with pytest.raises(SizeMismatchError):
+            TypedPicture((2, 1), (2,), (1,), picture)
+
+    def test_zeta_does_not_match_the_target(self):
+        picture = pw_set((2, 1), (2, 1), (1,))[0].picture
+        with pytest.raises(ValueError):
+            TypedPicture((2, 1), (2, 1), (2,), picture)
+
+    def test_mu_does_not_match_the_source(self):
+        picture = pw_set((3, 1), (2, 2), (2,))[0].picture
+        with pytest.raises(ValueError, match="source"):
+            TypedPicture((3, 1), (3, 1), (2,), picture)
+
 
 class TestBalancedFeatures:
     def test_worked_decomposition_features(self):

@@ -282,6 +282,29 @@ class TestPictureInsertDelete:
                     shrunk, out = picture_delete(p, v)
                     assert picture_insert(shrunk, out) == p
 
+    def test_delete_route_equals_reading_based_deletion(self):
+        from hookkron.shapes import inner_corners
+
+        shapes = util.small_skew_shapes(6, 7)
+        probes = 0
+        for source, target in itertools.product(shapes, repeat=2):
+            if source.size != target.size:
+                continue
+            for p in enumerate_pictures(source, target):
+                removable = removable_corners(p)
+                for v in inner_corners(p.source):
+                    probes += 1
+                    try:
+                        expected = util.reading_picture_delete(p, v)
+                    except NotRemovableError:
+                        assert v not in removable
+                        with pytest.raises(NotRemovableError):
+                            picture_delete(p, v)
+                        continue
+                    assert v in removable
+                    assert picture_delete(p, v) == expected
+        assert probes > 9000
+
 
 class TestSerialisation:
     def test_json_round_trip(self, example_picture):

@@ -12,15 +12,18 @@ from math import factorial
 from random import Random
 
 from hookkron.oracle import character_value, cycle_type_class_size
+from hookkron.pictures import Picture, picture_to_rw
 from hookkron.shapes import (
     SkewShape,
+    add_cell,
     contains,
     leq_nw,
     leq_sw,
     partition,
     partitions,
+    skew,
 )
-from hookkron.tableaux import PartialTableau
+from hookkron.tableaux import PartialTableau, delete, row_reading
 
 
 def lt_sw(a, b) -> bool:
@@ -103,6 +106,19 @@ def brute_force_picture_maps(source: SkewShape, target: SkewShape) -> list[dict]
         if ok:
             found.append(mapping)
     return found
+
+
+def reading_picture_delete(p: Picture, v: tuple[int, int]) -> tuple[Picture, tuple[int, int]]:
+    """Picture deletion the long way round, through the target's row reading:
+    delete ``v`` from the Remmel-Whitney tableau and decode the emitted number
+    back to a target cell.  Raises what :func:`hookkron.tableaux.delete` raises."""
+    reading = row_reading(p.target)
+    tgt_cells = p.target.cells()
+    shrunk, out_value = delete(picture_to_rw(p, reading), v)
+    w = tgt_cells[out_value - 1]
+    new_target = skew(p.target.outer, add_cell(p.target.inner, w))
+    mapping = {x: tgt_cells[value - 1] for x, value in shrunk.items()}
+    return Picture(shrunk.shape, new_target, mapping), w
 
 
 def small_skew_shapes(max_outer: int, max_cells: int) -> list[SkewShape]:
