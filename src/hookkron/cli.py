@@ -52,17 +52,9 @@ def _print_table(table: DecompositionTable, fmt: str, with_hook: bool) -> None:
             print(f"{format_partition(row.mu)} -> pw={row.pw}")
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    lam = parse_partition(args.lam)
-    table = decompose_tensor_hook(lam, args.m, jobs=args.jobs)
-    _print_table(table, args.format, with_hook=True)
-    return 0
-
-
-def cmd_exterior(args: argparse.Namespace) -> int:
-    lam = parse_partition(args.lam)
-    table = decompose_tensor_exterior(lam, args.m, jobs=args.jobs)
-    _print_table(table, args.format, with_hook=False)
+def cmd_table(args: argparse.Namespace) -> int:
+    table = args.decompose(parse_partition(args.lam), args.m, jobs=args.jobs)
+    _print_table(table, args.format, with_hook=args.with_hook)
     return 0
 
 
@@ -151,21 +143,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    decompose = sub.add_parser("decompose", help="decompose lambda tensor the hook of leg m")
-    decompose.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    decompose.add_argument("--m", type=int, required=True)
-    decompose.add_argument("--format", choices=("json", "tsv", "ascii"), default="ascii")
-    decompose.add_argument("--jobs", type=worker_count, default=1)
-    decompose.set_defaults(func=cmd_decompose)
-
-    exterior = sub.add_parser(
-        "exterior", help="decompose lambda tensor the m-th exterior power"
-    )
-    exterior.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    exterior.add_argument("--m", type=int, required=True)
-    exterior.add_argument("--format", choices=("json", "tsv", "ascii"), default="ascii")
-    exterior.add_argument("--jobs", type=worker_count, default=1)
-    exterior.set_defaults(func=cmd_exterior)
+    for name, decompose, with_hook, help_text in (
+        ("decompose", decompose_tensor_hook, True, "decompose lambda tensor the hook of leg m"),
+        ("exterior", decompose_tensor_exterior, False,
+         "decompose lambda tensor the m-th exterior power"),
+    ):
+        table = sub.add_parser(name, help=help_text)
+        table.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
+        table.add_argument("--m", type=int, required=True)
+        table.add_argument("--format", choices=("json", "tsv", "ascii"), default="ascii")
+        table.add_argument("--jobs", type=worker_count, default=1)
+        table.set_defaults(func=cmd_table, decompose=decompose, with_hook=with_hook)
 
     pictures = sub.add_parser("pictures", help="enumerate pictures of one overlap")
     pictures.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")

@@ -3,9 +3,9 @@
 Everything is exact integer arithmetic: character values come from the
 border-strip recursion on beta-numbers, tensor multiplicities from the
 class-weighted triple product divided by n! with a hard zero-remainder check.
-Tables are cached in memory per degree and can be persisted to a small JSON
-file for reuse across runs; a stored table is used only if it passes the row
-orthogonality relations.
+Tables always come from the recursion and are cached in memory per degree;
+a small JSON file can keep a copy, which is checked against the recursion and
+rewritten when it differs.
 """
 
 from __future__ import annotations
@@ -126,36 +126,18 @@ def _table_from_json(obj: dict) -> CharacterTable:
     return CharacterTable(n, parts, rows, sizes)
 
 
-def _is_character_table(table: CharacterTable) -> bool:
-    """Row orthonormality with positive degrees: summed over the classes,
-    size times chi_a times chi_b is n! when a = b and 0 otherwise, and the
-    identity-class column is positive.  Pairs of distinct rows are checked
-    too, so a flipped sign is caught, not only a changed magnitude."""
-    rows, count = table.rows, len(table.parts)
-    if len(rows) != count or any(len(row) != count for row in rows):
-        return False
-    order = factorial(table.n)
-    for a, row_a in enumerate(rows):
-        if row_a[-1] <= 0:
-            return False
-        for b in range(a, count):
-            total = sum(c * x * y for c, x, y in zip(table.class_sizes, row_a, rows[b]))
-            if total != (order if a == b else 0):
-                return False
-    return True
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
 def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
-    """The valid tables stored at ``path``.
+    """The tables stored at ``path`` that parse, keyed by degree.
 
-    A file that is not JSON, or a table that is malformed or fails the
-    orthogonality check, is skipped with one warning line on stderr, so the
-    table is recomputed (and the file rewritten) when it is next needed.  An
-    unknown format version raises, so a newer file is never overwritten.
+    A file that is not JSON, or a table that is malformed, is skipped with one
+    warning line on stderr, so the table is rewritten when it is next needed.
+    Entries are not checked here; :func:`character_table` compares them with
+    the recursion.  An unknown format version raises, so a newer file is never
+    overwritten.
     """
     try:
         obj = json.loads(Path(path).read_text())
@@ -173,8 +155,6 @@ def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
         try:
             table = _table_from_json(entry)
         except (KeyError, TypeError, ValueError):
-            table = None
-        if table is None or not _is_character_table(table):
             _warn(f"cache file {path}: table {k + 1} is damaged; ignoring it")
             continue
         out[table.n] = table
@@ -200,25 +180,25 @@ def save_cache_file(path: str | Path, tables: dict[int, CharacterTable]) -> None
 def character_table(
     n: int, *, cache: str | Path | None = None, cap: int = DEFAULT_CAP
 ) -> CharacterTable:
-    """Full character table for degree ``n``, from memory, disk, or scratch."""
+    """Full character table for degree ``n``, computed once per process.
+
+    With ``cache``, the file's copy of the table is compared with the computed
+    one and (re)written if it is missing or differs, the latter with a warning.
+    """
     if n < 1:
         raise RangeError(f"degree must be at least 1, got {n}")
     if n > cap:
         raise TooLargeError(f"degree {n} exceeds the cap {cap}")
-    stored: dict[int, CharacterTable] = {}
-    if cache is not None and os.path.exists(cache):
-        stored = load_cache_file(cache)
-    if n in _TABLES:
-        table = _TABLES[n]
-    elif n in stored:
-        table = stored[n]
-        _TABLES[n] = table
-    else:
-        table = _compute_table(n)
-        _TABLES[n] = table
-    if cache is not None and n not in stored:
-        stored[n] = table
-        save_cache_file(cache, stored)
+    if n not in _TABLES:
+        _TABLES[n] = _compute_table(n)
+    table = _TABLES[n]
+    if cache is not None:
+        stored = load_cache_file(cache) if os.path.exists(cache) else {}
+        if stored.get(n) != table:
+            if n in stored:
+                _warn(f"cache file {cache}: table for n={n} differs; rewriting it")
+            stored[n] = table
+            save_cache_file(cache, stored)
     return table
 
 

@@ -121,9 +121,9 @@ def rw_to_picture(
 ) -> Picture:
     """Rebuild the picture encoded by a Remmel-Whitney tableau of type ``reading``.
 
-    Checks that the tableau's image matches the reading's and that
-    horizontally/vertically adjacent target cells pull back to
-    southwest-comparable source cells, then inverts the composition.
+    Checks that the tableau's image matches the reading's, then inverts the
+    composition; the result must be a picture, so horizontally/vertically
+    adjacent target cells pull back to southwest-comparable source cells.
     """
     cells = target.cells()
     if set(reading) != set(cells):
@@ -136,18 +136,11 @@ def rw_to_picture(
                 raise ValueError(f"reading is not an order map at {y}, {x}")
     if t.image() != frozenset(reading.values()):
         raise NotRemmelWhitneyError("tableau image differs from the reading image")
-    pos = {value: cell for cell, value in t.items()}
-    for i, j in cells:
-        for neighbour in ((i, j + 1), (i + 1, j)):
-            if neighbour in target:
-                a, b = reading[(i, j)], reading[neighbour]
-                if not leq_sw(pos[a], pos[b]):
-                    raise NotRemmelWhitneyError(
-                        f"cells for target neighbours {format_cell((i, j))}, "
-                        f"{format_cell(neighbour)} are not southwest-ordered"
-                    )
     inv_reading = {value: cell for cell, value in reading.items()}
-    return Picture(t.shape, target, {x: inv_reading[v] for x, v in t.items()})
+    try:
+        return Picture(t.shape, target, {x: inv_reading[v] for x, v in t.items()})
+    except ValueError as exc:
+        raise NotRemmelWhitneyError(f"tableau is not Remmel-Whitney: {exc}") from None
 
 
 def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
@@ -182,7 +175,6 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
                 must_follow[a].append(b)
     pos_of: list[Cell | None] = [None] * n
     chosen = [0] * n
-    used = [False] * n
     results: list[Picture] = []
 
     def extend(k: int) -> None:
@@ -195,22 +187,20 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
         lo = chosen[left[k]] if left[k] >= 0 else -1
         hi = chosen[below[k]] if below[k] >= 0 else n
         for v in range(lo + 1, hi):
-            if used[v]:
+            if pos_of[v] is not None:
                 continue
             # a value already placed that must come later kills the branch,
             # as does a required predecessor that is missing or misplaced
-            if any(used[b] for b in must_follow[v]):
+            if any(pos_of[b] is not None for b in must_follow[v]):
                 continue
             if any(
                 pos_of[a] is None or not leq_sw(pos_of[a], x)
                 for a in must_precede[v]
             ):
                 continue
-            used[v] = True
             pos_of[v] = x
             chosen[k] = v
             extend(k + 1)
-            used[v] = False
             pos_of[v] = None
 
     extend(0)

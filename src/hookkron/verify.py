@@ -81,8 +81,8 @@ def verify_range(
         raise ValueError(f"bad degree range {n_min}..{n_max}")
     tasks = []
     for n in range(n_min, n_max + 1):
-        # fail fast on the cap and warm the in-memory/disk caches before any
-        # fan-out; workers then never touch the cache file
+        # fail fast on the cap, fill the in-memory cache and bring the cache
+        # file in step before any fan-out; workers then never touch the file
         oracle.character_table(n, cache=cache)
         for lam in partitions(n):
             for mu in partitions(n):

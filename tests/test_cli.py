@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hookkron
 import worked_examples as ex
 from hookkron.cli import main
 from hookkron.tableaux import PartialTableau, tableau_to_json
@@ -196,7 +199,9 @@ class TestVerify:
         stored = json.loads(path.read_text())
         assert any(entry["n"] == 2 for entry in stored["tables"])
 
-    @pytest.mark.parametrize("damage", ["plus-one", "sign-flip", "truncated"])
+    @pytest.mark.parametrize(
+        "damage", ["plus-one", "sign-flip", "truncated", "swapped-rows"]
+    )
     def test_damaged_cache_is_recomputed(self, capsys, monkeypatch, tmp_path, damage):
         import hookkron.oracle as oracle
 
@@ -204,11 +209,17 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--n", "5", "--cache", str(path))[0] == 0
         good = path.read_text()
         data = json.loads(good)
-        row = data["tables"][0]["rows"][1]
+        table = data["tables"][0]
+        row = table["rows"][1]
         if damage == "plus-one":
             row[0] += 1
         elif damage == "sign-flip":
             row[0] = -row[0]
+        elif damage == "swapped-rows":
+            # the rows stay orthonormal and both degrees are 4, so only a
+            # recomputation ties each row to its label
+            a, b = table["classes"].index([4, 1]), table["classes"].index([2, 1, 1, 1])
+            table["rows"][a], table["rows"][b] = table["rows"][b], table["rows"][a]
         path.write_text(good[:100] if damage == "truncated" else json.dumps(data))
         # no table in memory, so the damaged one would be read from the file
         monkeypatch.setattr(oracle, "_TABLES", {})
@@ -309,11 +320,16 @@ class TestUsage:
         assert err == "error: inner product is not integral\n"
 
     def test_console_entry_point(self):
+        # the child imports the same hookkron as this process, installed or not
+        src = str(Path(hookkron.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "hookkron.cli", "lr",
              "--lambda", "2,1", "--zeta", "1", "--xi", "1,1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout == "1\n"

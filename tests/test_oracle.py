@@ -124,20 +124,20 @@ class TestCacheFile:
     def test_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "tables.json"
         table = character_table(6, cache=path)
-        data = json.loads(path.read_text())
+        written, inode = path.read_bytes(), path.stat().st_ino
+        data = json.loads(written)
         assert data["version"] == 1
         assert data["tables"][0]["n"] == 6
         assert all(
             isinstance(v, int) for row in data["tables"][0]["rows"] for v in row
         )
-        # force a reload from disk and make recomputation impossible
+        assert load_cache_file(path)[6] == table
+        # recompute in a fresh memory cache; a file in step is not rewritten
         import hookkron.oracle as oracle_module
 
         monkeypatch.delitem(oracle_module._TABLES, 6)
-        monkeypatch.setattr(
-            oracle_module, "_compute_table", lambda n: pytest.fail("recomputed")
-        )
         assert character_table(6, cache=path) == table
+        assert (path.read_bytes(), path.stat().st_ino) == (written, inode)
 
     def test_appends_new_degrees(self, tmp_path):
         path = tmp_path / "tables.json"
