@@ -84,17 +84,23 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
     return [TypedPicture(lam, mu, zeta, p) for p in enumerate_pictures(source, target)]
 
 
-def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:
-    """Union of the per-overlap picture sets, overlaps in the fixed order."""
+def _overlap_sets(
+    lam: Partition, mu: Partition, m: int
+) -> list[tuple[Partition, list[TypedPicture]]]:
+    """The non-empty per-overlap picture sets of leg size ``m``, overlaps in
+    the fixed order: the one loop over overlaps, after one check of the labels."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
     if not 0 <= m <= n:
         raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
-    out: list[TypedPicture] = []
-    for zeta in partitions(n - m):
-        out.extend(pw_set(lam, mu, zeta))
-    return out
+    sets = ((zeta, pw_set(lam, mu, zeta)) for zeta in partitions(n - m))
+    return [(zeta, pics) for zeta, pics in sets if pics]
+
+
+def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:
+    """Union of the per-overlap picture sets, overlaps in the fixed order."""
+    return [tp for _, pics in _overlap_sets(lam, mu, m) for tp in pics]
 
 
 def balanced_cocorner(tp: TypedPicture) -> Cell | None:
@@ -209,16 +215,8 @@ class DecompositionTable:
 def _table_row(lam: Partition, mu: Partition, m: int, with_hook: bool) -> TableRow:
     """One table row's picture counts, per overlap and in total (``ph`` only
     ``with_hook``); every hook and exterior-power count goes through here."""
-    n = sum(lam)
-    if sum(mu) != n:
-        raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
-    if not 0 <= m <= n:
-        raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
     by_zeta = []
-    for zeta in partitions(n - m):
-        pics = pw_set(lam, mu, zeta)
-        if not pics:
-            continue
+    for zeta, pics in _overlap_sets(lam, mu, m):
         ph = sum(1 for tp in pics if balanced_cocorner(tp) is not None) if with_hook else None
         by_zeta.append(ZetaCount(zeta, ph, len(pics)))
     ph_total = sum(zc.ph for zc in by_zeta) if with_hook else None

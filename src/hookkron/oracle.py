@@ -105,6 +105,7 @@ def _part_index(n: int) -> dict[Partition, int]:
 
 
 _TABLES: dict[int, CharacterTable] = {}
+_IN_STEP: dict[tuple[str, int], bytes] = {}  # (path, n) -> file bytes last found in step
 
 
 def _compute_table(n: int) -> CharacterTable:
@@ -134,7 +135,7 @@ def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
     """The tables stored at ``path`` that parse, keyed by degree.
 
     A file that is not JSON, or a table that is malformed, is skipped with one
-    warning line on stderr, so the table is rewritten when it is next needed.
+    warning line on stderr, and :func:`character_table` drops it from the file.
     Entries are not checked here; :func:`character_table` compares them with
     the recursion.  An unknown format version raises, so a newer file is never
     overwritten.
@@ -161,17 +162,18 @@ def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
     return out
 
 
+def _cache_text(tables: dict[int, CharacterTable]) -> str:
+    entries = [tables[n].to_json() for n in sorted(tables)]
+    return json.dumps({"version": CACHE_FORMAT_VERSION, "tables": entries}) + "\n"
+
+
 def save_cache_file(path: str | Path, tables: dict[int, CharacterTable]) -> None:
     """Write ``tables`` through a temporary file in the same directory, so an
     interrupted write never leaves a truncated cache behind."""
-    payload = {
-        "version": CACHE_FORMAT_VERSION,
-        "tables": [tables[n].to_json() for n in sorted(tables)],
-    }
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload) + "\n")
+        tmp.write_text(_cache_text(tables))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -182,8 +184,9 @@ def character_table(
 ) -> CharacterTable:
     """Full character table for degree ``n``, computed once per process.
 
-    With ``cache``, the file's copy of the table is compared with the computed
-    one and (re)written if it is missing or differs, the latter with a warning.
+    With ``cache``, the file is rewritten, with a warning if its copy of the
+    table differs, whenever it is not exactly the tables that parse plus the
+    computed one; bytes found in step are not parsed again in this process.
     """
     if n < 1:
         raise RangeError(f"degree must be at least 1, got {n}")
@@ -193,12 +196,16 @@ def character_table(
         _TABLES[n] = _compute_table(n)
     table = _TABLES[n]
     if cache is not None:
-        stored = load_cache_file(cache) if os.path.exists(cache) else {}
-        if stored.get(n) != table:
-            if n in stored:
+        on_disk = Path(cache).read_bytes() if os.path.exists(cache) else None
+        if on_disk is None or on_disk != _IN_STEP.get((os.fspath(cache), n)):
+            stored = load_cache_file(cache) if on_disk is not None else {}
+            if stored.get(n, table) != table:
                 _warn(f"cache file {cache}: table for n={n} differs; rewriting it")
             stored[n] = table
-            save_cache_file(cache, stored)
+            text = _cache_text(stored).encode()
+            if text != on_disk:
+                save_cache_file(cache, stored)
+            _IN_STEP[os.fspath(cache), n] = text
     return table
 
 

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .errors import (
-    InvalidCocornerError,
-    NotAddableError,
-    NotInnerCornerError,
-    NotRemmelWhitneyError,
-    NotRemovableError,
-)
+from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError
 from .shapes import (
     Cell,
     SkewShape,
@@ -31,21 +25,29 @@ from .shapes import (
     remove_cell,
     skew,
 )
-from .tableaux import BumpRoute, PartialTableau, bump_route, delete_route, render_grid, row_reading
+from .tableaux import (
+    BumpRoute,
+    PartialTableau,
+    bump_route,
+    carry_out_delete,
+    carry_out_insert,
+    delete_route,
+    render_grid,
+    row_reading,
+)
 
 
 class Picture:
     """Bijection of skew diagrams, order-preserving northwest-to-southwest
     both ways."""
 
-    __slots__ = ("source", "target", "_map", "_inv", "_hash")
+    __slots__ = ("source", "target", "_map", "_inv")
 
     def __init__(self, source: SkewShape, target: SkewShape, mapping: Mapping[Cell, Cell]):
         self.source = source
         self.target = target
         self._map = dict(mapping)
         self._inv = _validate_picture(source, target, self._map)
-        self._hash = None
 
     def __getitem__(self, cell: Cell) -> Cell:
         return self._map[cell]
@@ -73,9 +75,7 @@ class Picture:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.source, self.target, tuple(self.pairs())))
-        return self._hash
+        return hash((self.source, self.target, tuple(self.pairs())))
 
     def __repr__(self) -> str:
         return f"Picture({self.source} -> {self.target}, {len(self)} cells)"
@@ -130,9 +130,9 @@ def rw_to_picture(
         raise ValueError("reading must be defined on exactly the target cells")
     for k, x in enumerate(cells):
         for y in cells[k + 1:]:
-            if leq_sw(x, y) and x != y and reading[x] >= reading[y]:
+            if leq_sw(x, y) and reading[x] >= reading[y]:
                 raise ValueError(f"reading is not an order map at {x}, {y}")
-            if leq_sw(y, x) and x != y and reading[y] >= reading[x]:
+            if leq_sw(y, x) and reading[y] >= reading[x]:
                 raise ValueError(f"reading is not an order map at {y}, {x}")
     if t.image() != frozenset(reading.values()):
         raise NotRemmelWhitneyError("tableau image differs from the reading image")
@@ -156,23 +156,17 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
     n = source.size
     if n != target.size:
         return []
-    if n == 0:
-        return [Picture(source, target, {})]
     src = source.cells()
     tgt = target.cells()
     index = {cell: k for k, cell in enumerate(src)}
     left = [index.get((r, c - 1), -1) for r, c in src]
     below = [index.get((r + 1, c), -1) for r, c in src]
     tgt_id = {cell: k for k, cell in enumerate(tgt)}
-    # constraint (a, b): cell of value a must be southwest-below-left of b's
-    must_precede: list[list[int]] = [[] for _ in range(n)]
-    must_follow: list[list[int]] = [[] for _ in range(n)]
-    for (i, j), a in tgt_id.items():
-        for neighbour in ((i, j + 1), (i + 1, j)):
-            b = tgt_id.get(neighbour)
-            if b is not None:
-                must_precede[b].append(a)
-                must_follow[a].append(b)
+    # must_precede[b]: the left and upper target neighbours a of b; the cell
+    # of value a must be southwest-below-left of b's
+    must_precede = [
+        [tgt_id[c] for c in ((i, j - 1), (i - 1, j)) if c in tgt_id] for i, j in tgt
+    ]
     pos_of: list[Cell | None] = [None] * n
     chosen = [0] * n
     results: list[Picture] = []
@@ -189,10 +183,8 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
         for v in range(lo + 1, hi):
             if pos_of[v] is not None:
                 continue
-            # a value already placed that must come later kills the branch,
-            # as does a required predecessor that is missing or misplaced
-            if any(pos_of[b] is not None for b in must_follow[v]):
-                continue
+            # a required predecessor that is missing or misplaced kills the
+            # branch (a required successor waits for v, so none is placed yet)
             if any(
                 pos_of[a] is None or not leq_sw(pos_of[a], x)
                 for a in must_precede[v]
@@ -225,15 +217,10 @@ def picture_bump_destination(p: Picture, z: Cell) -> tuple[Cell, BumpRoute]:
 
 def picture_insert(p: Picture, z: Cell) -> Picture:
     """Row insertion at an addable cocorner ``z``; both shapes lose an inner cell."""
-    destination, route = picture_bump_destination(p, z)
-    if 0 in z or 0 in destination:
-        raise NotAddableError(
-            f"{format_cell(z)} is not addable: destination "
-            f"{format_cell(destination)} or the cocorner itself is extreme"
-        )
-    mapping = dict(p._map)
-    mapping.update(zip(route.cells, route.displaced))
-    new_source = skew(p.source.outer, remove_cell(p.source.inner, destination))
+    _, route = picture_bump_destination(p, z)
+    if 0 in z:
+        raise NotAddableError(f"{format_cell(z)} is not addable: the cocorner is extreme")
+    new_source, mapping = carry_out_insert(p.source, p._map, route)
     new_target = skew(p.target.outer, remove_cell(p.target.inner, z))
     return Picture(new_source, new_target, mapping)
 
@@ -245,31 +232,16 @@ def picture_delete(p: Picture, v: Cell) -> tuple[Picture, Cell]:
     the deletion pushes out: the :func:`delete_route` from ``v`` through the
     map, whose images increase along each source row in the southwest order.
     """
-    if v not in inner_corners(p.source):
-        raise NotInnerCornerError(
-            f"{format_cell(v)} is not an inner corner of {p.source}"
-        )
-    route = delete_route(p.source, p._map.__getitem__, v, lt_sw)
-    if route is None:
-        raise NotRemovableError(f"{format_cell(v)} is not removable from {p.source}")
-    cells, w = route
-    mapping = dict(p._map)
-    mapping.update(zip(cells[1:], [p[x] for x in cells[:-1]]))
-    del mapping[v]
-    new_source = skew(p.source.outer, add_cell(p.source.inner, v))
+    new_source, mapping, w = carry_out_delete(p.source, p._map, v, lt_sw)
     new_target = skew(p.target.outer, add_cell(p.target.inner, w))
     return Picture(new_source, new_target, mapping), w
 
 
 def addable_cocorners(p: Picture) -> list[Cell]:
     """Target inner cocorners whose bump destination is a source inner cocorner."""
-    out = []
     source_icc = set(inner_cocorners(p.source))
-    for z in inner_cocorners(p.target):
-        destination, _ = picture_bump_destination(p, z)
-        if destination in source_icc:
-            out.append(z)
-    return out
+    targets = inner_cocorners(p.target)
+    return [z for z in targets if picture_bump_destination(p, z)[0] in source_icc]
 
 
 def removable_corners(p: Picture) -> list[Cell]:

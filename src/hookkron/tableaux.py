@@ -37,14 +37,13 @@ T = TypeVar("T")
 class PartialTableau:
     """Immutable injective order-preserving filling of a skew shape."""
 
-    __slots__ = ("shape", "_entries", "_hash")
+    __slots__ = ("shape", "_entries")
 
     def __init__(self, shape: SkewShape, entries: Mapping[Cell, int]):
         entries = {cell: int(v) for cell, v in entries.items()}
         _validate(shape, entries)
         self.shape = shape
         self._entries = entries
-        self._hash = None
 
     def __getitem__(self, cell: Cell) -> int:
         return self._entries[cell]
@@ -74,9 +73,7 @@ class PartialTableau:
         return self.shape == other.shape and self._entries == other._entries
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.shape, tuple(self.items())))
-        return self._hash
+        return hash((self.shape, tuple(self.items())))
 
     def __repr__(self) -> str:
         return f"PartialTableau({self.shape}, {dict(self.items())})"
@@ -173,34 +170,44 @@ def bump_route(
 
 def insert(t: PartialTableau, a: int) -> PartialTableau:
     """Backward row insertion of ``a``; grows the tableau at an inner cocorner."""
-    route = bump_destination(t, a)
-    r, c = route.destination
-    if r == 0 or c == 0:
-        raise NotAddableError(
-            f"{a} is not addable: destination {format_cell(route.destination)} is extreme"
-        )
-    entries = dict(t._entries)
-    for cell, value in zip(route.cells, route.displaced):
-        entries[cell] = value
-    new_shape = skew(t.shape.outer, remove_cell(t.shape.inner, route.destination))
-    return PartialTableau(new_shape, entries)
+    return PartialTableau(*carry_out_insert(t.shape, t._entries, bump_destination(t, a)))
+
+
+def carry_out_insert(
+    shape: SkewShape, entries: Mapping[Cell, T], route: BumpRoute
+) -> tuple[SkewShape, dict[Cell, T]]:
+    """The insertion step shared by tableaux and pictures: the new shape and
+    filling after applying ``route``, whose destination leaves the inner shape."""
+    if 0 in route.destination:
+        raise NotAddableError(f"destination {format_cell(route.destination)} is extreme")
+    entries = dict(entries)
+    entries.update(zip(route.cells, route.displaced))
+    return skew(shape.outer, remove_cell(shape.inner, route.destination)), entries
 
 
 def delete(t: PartialTableau, v: Cell) -> tuple[PartialTableau, int]:
     """Inverse of :func:`insert`: vacate inner corner ``v`` and emit the value
     that its :func:`delete_route`, compared by ``<``, pushes out."""
-    shape = t.shape
+    shape, entries, out = carry_out_delete(t.shape, t._entries, v, operator.lt)
+    return PartialTableau(shape, entries), out
+
+
+def carry_out_delete(
+    shape: SkewShape, entries: Mapping[Cell, T], v: Cell, lt: Callable[[T, T], bool]
+) -> tuple[SkewShape, dict[Cell, T], T]:
+    """The deletion step shared by tableaux and pictures: the new shape and
+    filling after the :func:`delete_route` from inner corner ``v``, and the
+    entry that it pushes out of the bottom row."""
     if v not in inner_corners(shape):
         raise NotInnerCornerError(f"{format_cell(v)} is not an inner corner of {shape}")
-    route = delete_route(shape, t._entries.__getitem__, v, operator.lt)
+    route = delete_route(shape, entries.__getitem__, v, lt)
     if route is None:
         raise NotRemovableError(f"{format_cell(v)} is not removable from {shape}")
     cells, out = route
-    entries = dict(t._entries)
-    entries.update(zip(cells[1:], [t[cell] for cell in cells[:-1]]))
-    del entries[v]
-    new_shape = skew(shape.outer, add_cell(shape.inner, v))
-    return PartialTableau(new_shape, entries), out
+    moved = dict(entries)
+    moved.update(zip(cells[1:], [entries[cell] for cell in cells[:-1]]))
+    del moved[v]
+    return skew(shape.outer, add_cell(shape.inner, v)), moved, out
 
 
 def delete_route(

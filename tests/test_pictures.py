@@ -133,10 +133,11 @@ class TestEnumeration:
         assert first == second
 
     def test_against_brute_force(self):
-        shapes = util.small_skew_shapes(max_outer=4, max_cells=4)
+        # skew shapes up to 5 cells: 8,723 shape pairs, 7,314 pictures
+        shapes = util.small_skew_shapes(max_outer=6, max_cells=5)
         for source in shapes:
             for target in shapes:
-                if source.size != target.size or source.size > 4:
+                if source.size != target.size:
                     continue
                 expected = util.brute_force_picture_maps(source, target)
                 got = enumerate_pictures(source, target)
