@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     NotCoHookShapeError,
@@ -86,16 +87,16 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
 
 def _overlap_sets(
     lam: Partition, mu: Partition, m: int
-) -> list[tuple[Partition, list[TypedPicture]]]:
+) -> Iterator[tuple[Partition, list[TypedPicture]]]:
     """The non-empty per-overlap picture sets of leg size ``m``, overlaps in
-    the fixed order: the one loop over overlaps, after one check of the labels."""
+    the fixed order, one at a time: the one loop over overlaps, after one
+    check of the labels."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
     if not 0 <= m <= n:
         raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
-    sets = ((zeta, pw_set(lam, mu, zeta)) for zeta in partitions(n - m))
-    return [(zeta, pics) for zeta, pics in sets if pics]
+    return ((zeta, pics) for zeta in partitions(n - m) if (pics := pw_set(lam, mu, zeta)))
 
 
 def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:

@@ -105,7 +105,6 @@ def _part_index(n: int) -> dict[Partition, int]:
 
 
 _TABLES: dict[int, CharacterTable] = {}
-_IN_STEP: dict[tuple[str, int], bytes] = {}  # (path, n) -> file bytes last found in step
 
 
 def _compute_table(n: int) -> CharacterTable:
@@ -163,8 +162,11 @@ def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
 
 
 def _cache_text(tables: dict[int, CharacterTable]) -> str:
-    entries = [tables[n].to_json() for n in sorted(tables)]
-    return json.dumps({"version": CACHE_FORMAT_VERSION, "tables": entries}) + "\n"
+    payload = {
+        "version": CACHE_FORMAT_VERSION,
+        "tables": [tables[n].to_json() for n in sorted(tables)],
+    }
+    return json.dumps(payload) + "\n"
 
 
 def save_cache_file(path: str | Path, tables: dict[int, CharacterTable]) -> None:
@@ -186,7 +188,7 @@ def character_table(
 
     With ``cache``, the file is rewritten, with a warning if its copy of the
     table differs, whenever it is not exactly the tables that parse plus the
-    computed one; bytes found in step are not parsed again in this process.
+    computed one.
     """
     if n < 1:
         raise RangeError(f"degree must be at least 1, got {n}")
@@ -197,15 +199,12 @@ def character_table(
     table = _TABLES[n]
     if cache is not None:
         on_disk = Path(cache).read_bytes() if os.path.exists(cache) else None
-        if on_disk is None or on_disk != _IN_STEP.get((os.fspath(cache), n)):
-            stored = load_cache_file(cache) if on_disk is not None else {}
-            if stored.get(n, table) != table:
-                _warn(f"cache file {cache}: table for n={n} differs; rewriting it")
-            stored[n] = table
-            text = _cache_text(stored).encode()
-            if text != on_disk:
-                save_cache_file(cache, stored)
-            _IN_STEP[os.fspath(cache), n] = text
+        stored = load_cache_file(cache) if on_disk is not None else {}
+        if stored.get(n, table) != table:
+            _warn(f"cache file {cache}: table for n={n} differs; rewriting it")
+        stored[n] = table
+        if _cache_text(stored).encode() != on_disk:
+            save_cache_file(cache, stored)
     return table
 
 

@@ -220,7 +220,7 @@ def picture_insert(p: Picture, z: Cell) -> Picture:
     _, route = picture_bump_destination(p, z)
     if 0 in z:
         raise NotAddableError(f"{format_cell(z)} is not addable: the cocorner is extreme")
-    new_source, mapping = carry_out_insert(p.source, p._map, route)
+    new_source, mapping = carry_out_insert(p.source, p._map, route, format_cell(z))
     new_target = skew(p.target.outer, remove_cell(p.target.inner, z))
     return Picture(new_source, new_target, mapping)
 
@@ -239,9 +239,13 @@ def picture_delete(p: Picture, v: Cell) -> tuple[Picture, Cell]:
 
 def addable_cocorners(p: Picture) -> list[Cell]:
     """Target inner cocorners whose bump destination is a source inner cocorner."""
+    out = []
     source_icc = set(inner_cocorners(p.source))
-    targets = inner_cocorners(p.target)
-    return [z for z in targets if picture_bump_destination(p, z)[0] in source_icc]
+    for z in inner_cocorners(p.target):
+        destination, _ = picture_bump_destination(p, z)
+        if destination in source_icc:
+            out.append(z)
+    return out
 
 
 def removable_corners(p: Picture) -> list[Cell]:

@@ -170,16 +170,21 @@ def bump_route(
 
 def insert(t: PartialTableau, a: int) -> PartialTableau:
     """Backward row insertion of ``a``; grows the tableau at an inner cocorner."""
-    return PartialTableau(*carry_out_insert(t.shape, t._entries, bump_destination(t, a)))
+    route = bump_destination(t, a)
+    return PartialTableau(*carry_out_insert(t.shape, t._entries, route, str(a)))
 
 
 def carry_out_insert(
-    shape: SkewShape, entries: Mapping[Cell, T], route: BumpRoute
+    shape: SkewShape, entries: Mapping[Cell, T], route: BumpRoute, inserted: str
 ) -> tuple[SkewShape, dict[Cell, T]]:
     """The insertion step shared by tableaux and pictures: the new shape and
-    filling after applying ``route``, whose destination leaves the inner shape."""
+    filling after applying ``route``, whose destination leaves the inner shape;
+    ``inserted`` names what is inserted in the error message."""
     if 0 in route.destination:
-        raise NotAddableError(f"destination {format_cell(route.destination)} is extreme")
+        raise NotAddableError(
+            f"{inserted} is not addable: destination "
+            f"{format_cell(route.destination)} is extreme"
+        )
     entries = dict(entries)
     entries.update(zip(route.cells, route.displaced))
     return skew(shape.outer, remove_cell(shape.inner, route.destination)), entries

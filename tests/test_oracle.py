@@ -160,29 +160,6 @@ class TestCacheFile:
         assert err.count("\n") == 1 and "table 2 is damaged" in err
         assert path.read_bytes() == clean.read_bytes()
 
-    def test_file_in_step_is_not_parsed_again(self, tmp_path, monkeypatch, capsys):
-        import hookkron.oracle as oracle_module
-
-        loads = []
-        real_load = oracle_module.load_cache_file
-        monkeypatch.setattr(
-            oracle_module, "load_cache_file", lambda p: loads.append(p) or real_load(p)
-        )
-        path = tmp_path / "tables.json"
-        for mu in partitions(8):
-            kronecker((5, 3), (4, 2, 2), mu, cache=path)
-        assert len(partitions(8)) == 22 and len(loads) <= 1
-        good = path.read_text()
-        data = json.loads(good)
-        data["tables"][0]["rows"][1][0] += 1
-        path.write_text(json.dumps(data))
-        assert kronecker((5, 3), (4, 2, 2), (4, 4), cache=path) == kronecker(
-            (5, 3), (4, 2, 2), (4, 4)
-        )
-        err = capsys.readouterr().err
-        assert err.startswith("warning: ") and err.count("\n") == 1
-        assert path.read_text() == good
-
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "tables.json"
         path.write_text(json.dumps({"version": 99, "tables": []}))
