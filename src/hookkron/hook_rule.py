@@ -38,6 +38,7 @@ from .shapes import (
     inner_corners,
     lt_sw,
     partitions,
+    partitions_inside,
     remove_cell,
     skew,
     transpose_cell,
@@ -88,15 +89,16 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
 def _overlap_sets(
     lam: Partition, mu: Partition, m: int
 ) -> Iterator[tuple[Partition, list[TypedPicture]]]:
-    """The non-empty per-overlap picture sets of leg size ``m``, overlaps in
-    the fixed order, one at a time: the one loop over overlaps, after one
-    check of the labels."""
+    """The non-empty per-overlap picture sets of leg size ``m``, one at a time
+    after one check of the labels: the one loop over overlaps, visiting only
+    the zeta of n - m inside lam and mu (no other has pictures), in the fixed order."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
     if not 0 <= m <= n:
         raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return ((zeta, pics) for zeta in partitions(n - m) if (pics := pw_set(lam, mu, zeta)))
+    inside = partitions_inside(tuple(map(min, lam, mu)), n - m)
+    return ((zeta, pics) for zeta in inside if (pics := pw_set(lam, mu, zeta)))
 
 
 def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .errors import RangeError, SizeMismatchError
 from .pictures import enumerate_pictures
-from .shapes import Partition, conjugate, contains, partitions, skew
+from .shapes import Partition, conjugate, contains, partitions_inside, skew
 
 
 @lru_cache(maxsize=None)
@@ -28,17 +28,18 @@ def lr_coefficient(lam: Partition, zeta: Partition, xi: Partition) -> int:
 def exterior_multiplicity_via_lr(lam: Partition, mu: Partition, m: int) -> int:
     """Multiplicity of ``mu`` in ``lam`` tensored with the m-th exterior power
     of the defining module, as the LR double sum over a shared restriction
-    label and a pair of conjugate shapes."""
+    label and a pair of conjugate shapes.  An LR coefficient vanishes unless
+    both lower labels fit inside the upper one, so zeta runs over the
+    partitions of n - m inside lam and mu, xi over those of m inside lam and mu'."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
     if not 0 <= m <= n:
         raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
+    xis = tuple(partitions_inside(tuple(map(min, lam, conjugate(mu))), m))
     total = 0
-    for zeta in partitions(n - m):
-        if not (contains(lam, zeta) and contains(mu, zeta)):
-            continue
-        for xi in partitions(m):
+    for zeta in partitions_inside(tuple(map(min, lam, mu)), n - m):
+        for xi in xis:
             left = lr_coefficient(lam, zeta, xi)
             if left:
                 total += left * lr_coefficient(mu, zeta, conjugate(xi))

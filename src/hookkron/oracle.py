@@ -116,8 +116,22 @@ def _compute_table(n: int) -> CharacterTable:
     return CharacterTable(n, parts, rows, sizes)
 
 
+def _is_partition_count(n: int, count: int) -> bool:
+    """Whether ``n`` has ``count`` partitions.  Euler's pentagonal recurrence
+    gives p(0), p(1), ...; p never decreases, so it stops once p(k) > count."""
+    p = [1]
+    while len(p) <= n and p[-1] <= count:
+        k = len(p)
+        pentagonal = ((j, j * (3 * j - 1) // 2) for j in range(1, k + 1))
+        p.append(sum((-1) ** (j + 1) * (p[k - g] + (p[k - g - j] if g + j <= k else 0))
+                     for j, g in pentagonal if g <= k))
+    return 0 <= n < len(p) and p[n] == count
+
+
 def _table_from_json(obj: dict) -> CharacterTable:
     n = int(obj["n"])
+    if not _is_partition_count(n, len(obj["classes"])):  # cheap, unlike partitions(huge n)
+        raise ValueError(f"cached table for n={n} lists the wrong number of classes")
     parts = tuple(partition(p) for p in obj["classes"])
     if parts != partitions(n):
         raise ValueError(f"cached table for n={n} lists classes in a foreign order")

@@ -151,7 +151,10 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
     pruning on the tableau conditions and on the adjacency conditions as soon
     as both endpoints of a constraint are placed.  The result is ordered
     lexicographically by the sequence of chosen numbers, so it is
-    deterministic.
+    deterministic.  A value's left and upper target neighbours must sit
+    southwest of its cell (a required successor waits for it, so none is
+    placed yet); cells fill bottom row first, so every placed cell is in a
+    lower row or further left, and only the columns need comparing.
     """
     n = source.size
     if n != target.size:
@@ -159,41 +162,33 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
     src = source.cells()
     tgt = target.cells()
     index = {cell: k for k, cell in enumerate(src)}
-    left = [index.get((r, c - 1), -1) for r, c in src]
-    below = [index.get((r + 1, c), -1) for r, c in src]
     tgt_id = {cell: k for k, cell in enumerate(tgt)}
-    # must_precede[b]: the left and upper target neighbours a of b; the cell
-    # of value a must be southwest-below-left of b's
-    must_precede = [
-        [tgt_id[c] for c in ((i, j - 1), (i - 1, j)) if c in tgt_id] for i, j in tgt
-    ]
-    pos_of: list[Cell | None] = [None] * n
-    chosen = [0] * n
+    # missing neighbours read sentinel slots: chosen[-1] = -1 on the left,
+    # chosen[-2] = n below, and placed[-1] = 0, a column every test passes
+    left = [index.get((r, c - 1), -1) for r, c in src]
+    below = [index.get((r + 1, c), -2) for r, c in src]
+    t_left = [tgt_id.get((r, c - 1), -1) for r, c in tgt]
+    t_up = [tgt_id.get((r - 1, c), -1) for r, c in tgt]
+    column = [c for _, c in src]
+    # placed[v]: the column of v's source cell, or `unused`, which fails every
+    # column test, so an unplaced predecessor stops v as well
+    unused = max(column, default=0) + 1
+    placed = [unused] * n + [0]
+    chosen = [0] * n + [n, -1]
     results: list[Picture] = []
 
     def extend(k: int) -> None:
         if k == n:
-            results.append(
-                Picture(source, target, {src[i]: tgt[chosen[i]] for i in range(n)})
-            )
+            mapping = dict(zip(src, map(tgt.__getitem__, chosen)))
+            results.append(Picture(source, target, mapping))
             return
-        x = src[k]
-        lo = chosen[left[k]] if left[k] >= 0 else -1
-        hi = chosen[below[k]] if below[k] >= 0 else n
-        for v in range(lo + 1, hi):
-            if pos_of[v] is not None:
-                continue
-            # a required predecessor that is missing or misplaced kills the
-            # branch (a required successor waits for v, so none is placed yet)
-            if any(
-                pos_of[a] is None or not leq_sw(pos_of[a], x)
-                for a in must_precede[v]
-            ):
-                continue
-            pos_of[v] = x
-            chosen[k] = v
-            extend(k + 1)
-            pos_of[v] = None
+        c = column[k]
+        for v in range(chosen[left[k]] + 1, chosen[below[k]]):
+            if placed[v] == unused and placed[t_left[v]] <= c and placed[t_up[v]] <= c:
+                placed[v] = c
+                chosen[k] = v
+                extend(k + 1)
+                placed[v] = unused
 
     extend(0)
     return results

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotContainedError
 
@@ -58,11 +58,14 @@ def format_cell(c: Cell) -> str:
     return f"({c[0]},{c[1]})"
 
 
-def conjugate(p: Partition) -> Partition:
+def conjugate(p: Iterable[int]) -> Partition:
     """Flip the diagram across the main diagonal (column lengths as rows)."""
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+    return _conjugate(tuple(p))
+
+
+@lru_cache(maxsize=None)
+def _conjugate(p: Partition) -> Partition:
+    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1)) if p else ()
 
 
 def transpose_cell(c: Cell) -> Cell:
@@ -243,6 +246,21 @@ def partitions(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return _partition_list(n, max(n, 1))
+
+
+def partitions_inside(bound: Partition, k: int) -> Iterator[Partition]:
+    """The partitions of ``k`` whose diagrams fit inside ``bound``, in the
+    order of :func:`partitions`, without visiting the others."""
+
+    def fill(k: int, row: int, max_part: int) -> Iterator[Partition]:
+        if k == 0:
+            yield ()
+        elif row < len(bound):
+            for first in range(min(k, max_part, bound[row]), 0, -1):
+                for rest in fill(k - first, row + 1, first):
+                    yield (first,) + rest
+
+    return fill(k, 0, k)
 
 
 def hook_partition(n: int, m: int) -> Partition:

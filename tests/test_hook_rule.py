@@ -201,6 +201,13 @@ class TestDecomposeTable:
         obj = table.to_json()
         assert all("ph" not in r for r in obj["rows"])
 
+    def test_golden_staircase_totals(self):
+        # the baseline answer digest recorded in ROADMAP.md for n = 15
+        table = decompose_tensor_hook((5, 4, 3, 2, 1), 7)
+        assert len(table.rows) == 131
+        assert sum(r.ph for r in table.rows) == 7316
+        assert sum(r.pw for r in table.rows) == 13684
+
     def test_jobs_do_not_change_the_table(self):
         sequential = decompose_tensor_hook((3, 2), 2)
         parallel = decompose_tensor_hook((3, 2), 2, jobs=2)

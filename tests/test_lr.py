@@ -84,6 +84,19 @@ class TestExteriorViaLR:
             (2, 1), (2, 1), 1
         )
 
+    def test_bounded_sum_equals_the_full_double_sum(self):
+        # only zeta inside lam and mu, and xi inside lam and mu', are visited
+        for n in range(0, 7):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    for m in range(n + 1):
+                        full = sum(
+                            lr_coefficient(lam, zeta, xi) * lr_coefficient(mu, zeta, conjugate(xi))
+                            for zeta in partitions(n - m)
+                            for xi in partitions(m)
+                        )
+                        assert exterior_multiplicity_via_lr(lam, mu, m) == full
+
     def test_range(self):
         with pytest.raises(RangeError):
             exterior_multiplicity_via_lr((2, 1), (2, 1), -1)

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 import util
+from hookkron import oracle
 from hookkron.errors import RangeError, SizeMismatchError, TooLargeError
 from hookkron.oracle import (
     CharacterTable,
@@ -155,6 +156,27 @@ class TestCacheFile:
         data["tables"].append({"n": 30, "classes": [[30]], "rows": [[1]]})
         path.write_text(json.dumps(data))
         character_table(5, cache=path)
+        character_table(5, cache=path)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "table 2 is damaged" in err
+        assert path.read_bytes() == clean.read_bytes()
+
+    def test_tampered_degree_is_rejected_before_enumerating(self, tmp_path, capsys, monkeypatch):
+        # p(200) is about 4e12: enumerating it would never finish, so the
+        # class count must be compared before partitions(200) is asked for
+        clean = tmp_path / "clean.json"
+        character_table(5, cache=clean)
+        path = tmp_path / "tables.json"
+        data = json.loads(clean.read_text())
+        data["tables"].append({"n": 200, "classes": [[200]], "rows": [[1]]})
+        path.write_text(json.dumps(data))
+        real_partitions = oracle.partitions
+
+        def bounded_partitions(n):
+            assert n <= 5, f"partitions({n}) enumerated"
+            return real_partitions(n)
+
+        monkeypatch.setattr(oracle, "partitions", bounded_partitions)
         character_table(5, cache=path)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "table 2 is damaged" in err

@@ -145,6 +145,11 @@ class TestEnumeration:
                 assert {tuple(sorted(m.items())) for m in expected} == {
                     tuple(sorted(p.pairs())) for p in got
                 }
+                # the promised order: lexicographic in the target reading
+                # indices, taken in source reading order
+                reading = {cell: k for k, cell in enumerate(target.cells())}
+                expected.sort(key=lambda m: [reading[m[x]] for x in source.cells()])
+                assert [dict(p.pairs()) for p in got] == expected
 
     def test_count_formula_with_skew_source(self):
         # picture count = sum over middle shapes of the product of the two

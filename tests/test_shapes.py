@@ -16,6 +16,7 @@ from hookkron.shapes import (
     parse_partition,
     partition,
     partitions,
+    partitions_inside,
     skew,
     sw_key,
     transpose_shape,
@@ -64,6 +65,13 @@ class TestPartition:
         assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
         assert partitions(0) == ((),)
         assert len(partitions(7)) == 15
+
+    def test_partitions_inside_is_the_filtered_order(self):
+        for n in range(0, 9):
+            for bound in partitions(n):
+                for k in range(0, n + 2):
+                    expected = [z for z in partitions(k) if contains(bound, z)]
+                    assert list(partitions_inside(bound, k)) == expected
 
 
 class TestConjugate:
