@@ -36,10 +36,9 @@ def exterior_multiplicity_via_lr(lam: Partition, mu: Partition, m: int) -> int:
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
     if not 0 <= m <= n:
         raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
-    xis = tuple(partitions_inside(tuple(map(min, lam, conjugate(mu))), m))
     total = 0
     for zeta in partitions_inside(tuple(map(min, lam, mu)), n - m):
-        for xi in xis:
+        for xi in partitions_inside(tuple(map(min, lam, conjugate(mu))), m):
             left = lr_coefficient(lam, zeta, xi)
             if left:
                 total += left * lr_coefficient(mu, zeta, conjugate(xi))

@@ -84,14 +84,15 @@ class Picture:
 def _validate_picture(
     source: SkewShape, target: SkewShape, mapping: dict[Cell, Cell]
 ) -> dict[Cell, Cell]:
-    if set(mapping) != set(source.cells()):
+    # sizes first: a shape can name far more cells than any input could fill
+    if len(mapping) != source.size or set(mapping) != set(source.cells()):
         raise ValueError("mapping keys must be exactly the source cells")
     inv: dict[Cell, Cell] = {}
     for x, y in mapping.items():
         if y in inv:
             raise ValueError(f"mapping is not injective at {format_cell(y)}")
         inv[y] = x
-    if set(inv) != set(target.cells()):
+    if len(inv) != target.size or set(inv) != set(target.cells()):
         raise ValueError("mapping values must be exactly the target cells")
     # A skew diagram is convex: every cell between two of its cells in the
     # northwest order lies in it, so that order is generated by right and down

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NotContainedError
 
@@ -226,17 +226,6 @@ def icc_bar(s: SkewShape) -> list[Cell]:
     return sorted(corners(s.inner) + extreme_cocorners(s), key=sw_key)
 
 
-@lru_cache(maxsize=None)
-def _partition_list(n: int, max_part: int) -> tuple[Partition, ...]:
-    if n == 0:
-        return ((),)
-    out: list[Partition] = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partition_list(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in reverse lexicographic order, (n) first.
 
@@ -245,22 +234,26 @@ def partitions(n: int) -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _partition_list(n, max(n, 1))
+    return partitions_inside((n,) * n, n)
 
 
-def partitions_inside(bound: Partition, k: int) -> Iterator[Partition]:
-    """The partitions of ``k`` whose diagrams fit inside ``bound``, in the
-    order of :func:`partitions`, without visiting the others."""
-
-    def fill(k: int, row: int, max_part: int) -> Iterator[Partition]:
-        if k == 0:
-            yield ()
-        elif row < len(bound):
-            for first in range(min(k, max_part, bound[row]), 0, -1):
-                for rest in fill(k - first, row + 1, first):
-                    yield (first,) + rest
-
-    return fill(k, 0, k)
+@lru_cache(maxsize=None)
+def partitions_inside(bound: Partition, k: int) -> tuple[Partition, ...]:
+    """The partitions of ``k`` inside the tuple ``bound``, in the order of
+    :func:`partitions`: the one memoised enumerator for partitions, overlaps
+    and the LR sum.  The rest after a first part ``first`` has at most
+    ``k - first`` parts, so its bound is cut there and equal rests share an entry."""
+    if k == 0:
+        return ((),)
+    if not bound:
+        return ()
+    return tuple(
+        (first,) + rest
+        for first in range(min(k, bound[0]), 0, -1)
+        for rest in partitions_inside(
+            tuple(min(first, b) for b in bound[1 : k - first + 1]), k - first
+        )
+    )
 
 
 def hook_partition(n: int, m: int) -> Partition:

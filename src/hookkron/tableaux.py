@@ -80,8 +80,8 @@ class PartialTableau:
 
 
 def _validate(shape: SkewShape, entries: dict[Cell, int]) -> None:
-    cells = shape.cells()
-    if set(entries) != set(cells):
+    # sizes first: a shape can name far more cells than any input could fill
+    if len(entries) != shape.size or set(entries) != set(shape.cells()):
         raise ValueError(f"entries must fill {shape} exactly")
     seen: set[int] = set()
     for v in entries.values():
@@ -90,7 +90,7 @@ def _validate(shape: SkewShape, entries: dict[Cell, int]) -> None:
         if v in seen:
             raise DuplicateValueError(f"value {v} appears twice")
         seen.add(v)
-    for i, j in cells:
+    for i, j in shape.cells():
         right = entries.get((i, j + 1))
         if right is not None and entries[(i, j)] >= right:
             raise ValueError(f"row {i} is not increasing at column {j}")

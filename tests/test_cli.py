@@ -9,6 +9,7 @@ import pytest
 
 import hookkron
 import worked_examples as ex
+from hookkron import shapes
 from hookkron.cli import main
 from hookkron.tableaux import PartialTableau, tableau_to_json
 from hookkron.shapes import skew
@@ -265,6 +266,38 @@ class TestRender:
     )
     def test_malformed_input_exits_2(self, capsys, monkeypatch, payload):
         monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        code, out, err = run_cli(capsys, "render")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"outer": [10**12], "inner": [], "entries": []},
+            {
+                "source": {"outer": [10**12], "inner": []},
+                "target": {"outer": [10**12], "inner": []},
+                "map": [],
+            },
+            {
+                "source": {"outer": [1], "inner": []},
+                "target": {"outer": [10**12], "inner": []},
+                "map": [[1, 1, 1, 1]],
+            },
+        ],
+        ids=["tableau", "picture", "picture-target"],
+    )
+    def test_oversized_shape_exits_2_before_building_cells(self, capsys, monkeypatch, payload):
+        # the file is a few dozen bytes; building the cells it names would not finish
+        real_reading_cells = shapes._reading_cells
+
+        def bounded_reading_cells(shape):
+            assert shape.size <= 1000, f"cells of {shape} built"
+            return real_reading_cells(shape)
+
+        monkeypatch.setattr(shapes, "_reading_cells", bounded_reading_cells)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
         code, out, err = run_cli(capsys, "render")
         assert code == 2
         assert out == ""

@@ -75,6 +75,8 @@ class TestPwSets:
 
     def test_labels_spelled_as_lists(self):
         assert multiplicity_hook([5, 3, 1, 1], [4, 3, 3], 6) == 2
+        assert multiplicity_hook([5, 3, 1, 1], [4, 3, 3, 0], 6) == 2
+        assert multiplicity_hook([5, 3, 1, 1, 0], [4, 3, 3], 6) == 2
         spelled = pw_set([2, 1, 0], [2, 1], [1])
         assert [tp.picture for tp in spelled] == [
             tp.picture for tp in pw_set((2, 1), (2, 1), (1,))

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import util
 from hookkron.errors import NotContainedError
+from hookkron.oracle import _is_partition_count
 from hookkron.shapes import (
     SkewShape,
     conjugate,
@@ -65,6 +67,12 @@ class TestPartition:
         assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
         assert partitions(0) == ((),)
         assert len(partitions(7)) == 15
+
+    def test_partitions_match_an_independent_reference(self):
+        for n in range(11):
+            assert partitions(n) == util.brute_force_partitions(n)
+        for n in range(26):
+            assert _is_partition_count(n, len(partitions(n)))
 
     def test_partitions_inside_is_the_filtered_order(self):
         for n in range(0, 9):

@@ -30,6 +30,18 @@ def lt_sw(a, b) -> bool:
     return a != b and leq_sw(a, b)
 
 
+def brute_force_partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of ``n`` as the non-increasing part tuples summing to
+    ``n``, sorted reverse-lexicographically, with no recursion on sub-bounds."""
+    candidates = (
+        parts
+        for length in range(n + 1)
+        for parts in itertools.combinations_with_replacement(range(n, 0, -1), length)
+        if sum(parts) == n
+    )
+    return tuple(sorted(candidates, reverse=True))
+
+
 def random_subpartition(rng: Random, outer) -> tuple[int, ...]:
     prev = outer[0] if outer else 0
     parts = []
