@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, parse, file or
-oracle error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse, file,
+oracle or out-of-memory error.
 JSON output is byte-identical across runs and across ``--jobs`` settings.
 """
 
@@ -195,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 2
 
 

@@ -37,12 +37,11 @@ from .shapes import (
     inner_cocorners,
     inner_corners,
     lt_sw,
+    partition,
     partitions,
     partitions_inside,
     remove_cell,
-    skew,
     transpose_cell,
-    transpose_shape,
 )
 from .tableaux import bump_route, delete_route
 
@@ -77,12 +76,12 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
     """All pictures of type (lam, mu; zeta); empty unless zeta sits in both."""
     if sum(lam) != sum(mu):
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
+    # canonical labels, as TypedPicture compares them
+    mu, zeta, lam = partition(mu), partition(zeta), partition(lam)
     if not (contains(lam, zeta) and contains(mu, zeta)):
         return []
-    source = transpose_shape(skew(mu, zeta))
-    target = skew(lam, zeta)
-    # label with the canonical partitions the shapes hold, as TypedPicture compares them
-    lam, mu, zeta = target.outer, conjugate(source.outer), target.inner
+    source = SkewShape(conjugate(mu), conjugate(zeta))
+    target = SkewShape(lam, zeta)
     return [TypedPicture(lam, mu, zeta, p) for p in enumerate_pictures(source, target)]
 
 

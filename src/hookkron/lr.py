@@ -1,7 +1,7 @@
 """Littlewood-Richardson coefficients via picture counting.
 
 With a straight source shape the picture count collapses to a single LR
-coefficient, so the one enumeration engine serves both purposes.  Values are
+coefficient, so the one picture search serves both purposes.  Values are
 memoized; the double sum over restriction labels repeats queries heavily.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import RangeError, SizeMismatchError
-from .pictures import enumerate_pictures
+from .pictures import _search
 from .shapes import Partition, conjugate, contains, partitions_inside, skew
 
 
@@ -22,7 +22,7 @@ def lr_coefficient(lam: Partition, zeta: Partition, xi: Partition) -> int:
         raise SizeMismatchError(f"need |zeta| + |xi| = |lam|: {zeta}, {xi}, {lam}")
     if not contains(lam, zeta):
         return 0
-    return len(enumerate_pictures(skew(xi, ()), skew(lam, zeta)))
+    return len(_search(skew(xi, ()), skew(lam, zeta)))  # counts leaves, builds no picture
 
 
 def exterior_multiplicity_via_lr(lam: Partition, mu: Partition, m: int) -> int:

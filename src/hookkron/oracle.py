@@ -235,7 +235,15 @@ def kronecker(
     n = sum(lam)
     if sum(nu) != n or sum(mu) != n:
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {nu}, {mu}")
-    table = character_table(n, cache=cache, cap=cap)
+    character_table(n, cache=cache, cap=cap)
+    return _inner_product(lam, nu, mu)
+
+
+@lru_cache(maxsize=64)
+def _inner_product(lam: Partition, nu: Partition, mu: Partition) -> int:
+    """The triple product over n!, from the table :func:`character_table` has just
+    computed; a verify pair's exterior checks reuse its hook checks' products."""
+    table = _TABLES[sum(lam)]
     row_lam = table.rows[table.index(lam)]
     row_nu = table.rows[table.index(nu)]
     row_mu = table.rows[table.index(mu)]
@@ -243,7 +251,7 @@ def kronecker(
         size * a * b * c
         for size, a, b, c in zip(table.class_sizes, row_lam, row_nu, row_mu)
     )
-    quotient, remainder = divmod(total, factorial(n))
+    quotient, remainder = divmod(total, factorial(table.n))
     if remainder:
         raise ArithmeticError(
             f"inner product is not integral for {lam}, {nu}, {mu}; character bug"

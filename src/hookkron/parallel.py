@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -12,15 +11,17 @@ R = TypeVar("R")
 
 def ordered_map(fn: Callable[[T], R], tasks: Iterable[T], jobs: int = 1) -> list[R]:
     """Map ``fn`` over ``tasks`` preserving order; jobs > 1 uses processes,
-    at most one per CPU.
+    at most one per CPU the process may use.
 
     Results are identical to the sequential run by construction, so callers
     keep their determinism contract regardless of the worker count.
     """
     items: Sequence[T] = list(tasks)
-    jobs = min(jobs, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(jobs, cpus or 1)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (jobs * 4))
+    from concurrent.futures import ProcessPoolExecutor  # here: importing hookkron loads no pool
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

@@ -9,6 +9,7 @@ searches those tableaux directly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError
@@ -145,7 +146,23 @@ def rw_to_picture(
 
 
 def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
-    """All pictures from ``source`` onto ``target``.
+    """All pictures from ``source`` onto ``target``, one validated per search leaf."""
+    src, tgt = source.cells(), target.cells()
+    leaves = _search(source, target)
+    return [Picture(source, target, dict(zip(src, map(tgt.__getitem__, v)))) for v in leaves]
+
+
+@lru_cache(maxsize=None)
+def _target_neighbours(target: SkewShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Left and upper neighbour ids (-1: none) per target cell; one lam/zeta serves every mu."""
+    tgt = target.cells()
+    tgt_id = {cell: k for k, cell in enumerate(tgt)}
+    t_left = tuple(tgt_id.get((r, c - 1), -1) for r, c in tgt)
+    return t_left, tuple(tgt_id.get((r - 1, c), -1) for r, c in tgt)
+
+
+def _search(source: SkewShape, target: SkewShape) -> list[tuple[int, ...]]:
+    """Per picture from ``source`` onto ``target``, the target ids of the source cells.
 
     Backtracks over Remmel-Whitney tableaux for the target's row reading:
     source cells are filled in reading order with unused reading numbers,
@@ -161,27 +178,23 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
     if n != target.size:
         return []
     src = source.cells()
-    tgt = target.cells()
     index = {cell: k for k, cell in enumerate(src)}
-    tgt_id = {cell: k for k, cell in enumerate(tgt)}
     # missing neighbours read sentinel slots: chosen[-1] = -1 on the left,
     # chosen[-2] = n below, and placed[-1] = 0, a column every test passes
     left = [index.get((r, c - 1), -1) for r, c in src]
     below = [index.get((r + 1, c), -2) for r, c in src]
-    t_left = [tgt_id.get((r, c - 1), -1) for r, c in tgt]
-    t_up = [tgt_id.get((r - 1, c), -1) for r, c in tgt]
+    t_left, t_up = _target_neighbours(target)
     column = [c for _, c in src]
     # placed[v]: the column of v's source cell, or `unused`, which fails every
     # column test, so an unplaced predecessor stops v as well
     unused = max(column, default=0) + 1
     placed = [unused] * n + [0]
     chosen = [0] * n + [n, -1]
-    results: list[Picture] = []
+    leaves: list[tuple[int, ...]] = []
 
     def extend(k: int) -> None:
         if k == n:
-            mapping = dict(zip(src, map(tgt.__getitem__, chosen)))
-            results.append(Picture(source, target, mapping))
+            leaves.append(tuple(chosen[:n]))
             return
         c = column[k]
         for v in range(chosen[left[k]] + 1, chosen[below[k]]):
@@ -192,7 +205,7 @@ def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
                 placed[v] = unused
 
     extend(0)
-    return results
+    return leaves
 
 
 def picture_bump_destination(p: Picture, z: Cell) -> tuple[Cell, BumpRoute]:

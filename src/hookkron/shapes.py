@@ -256,6 +256,7 @@ def partitions_inside(bound: Partition, k: int) -> tuple[Partition, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def hook_partition(n: int, m: int) -> Partition:
     """The hook with arm ``n - m`` and leg ``m``."""
     if not 0 <= m < n:

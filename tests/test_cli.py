@@ -352,6 +352,19 @@ class TestUsage:
         assert out == ""
         assert err == "error: inner product is not integral\n"
 
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        # stands in for a huge degree, whose partition list cannot be allocated
+        import hookkron.hook_rule as hook_rule
+
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setattr(hook_rule, "partitions", exhausted)
+        code, out, err = run_cli(capsys, "decompose", "--lambda", "5,3,1,1", "--m", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_console_entry_point(self):
         # the child imports the same hookkron as this process, installed or not
         src = str(Path(hookkron.__file__).parents[1])

@@ -73,14 +73,32 @@ class TestPwSets:
         with pytest.raises(SizeMismatchError):
             pw_set((3, 1), (2, 2, 1), (2,))
 
+    @pytest.mark.parametrize(
+        "lam, mu, zeta",
+        [((1, 2), (2, 2), (1,)), ((3, 1), (2, 3), (1,)), ((3, 1), (2, 2, 1), (1, 2))],
+        ids=["lam", "mu", "zeta"],
+    )
+    def test_size_mismatch_before_a_malformed_label(self, lam, mu, zeta):
+        with pytest.raises(SizeMismatchError):
+            pw_set(lam, mu, zeta)
+
+    def test_malformed_label(self):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            pw_set((1, 2), (2, 1), (1,))
+
     def test_labels_spelled_as_lists(self):
         assert multiplicity_hook([5, 3, 1, 1], [4, 3, 3], 6) == 2
         assert multiplicity_hook([5, 3, 1, 1], [4, 3, 3, 0], 6) == 2
         assert multiplicity_hook([5, 3, 1, 1, 0], [4, 3, 3], 6) == 2
-        spelled = pw_set([2, 1, 0], [2, 1], [1])
-        assert [tp.picture for tp in spelled] == [
-            tp.picture for tp in pw_set((2, 1), (2, 1), (1,))
-        ]
+        canonical = pw_set((2, 1), (2, 1), (1,))
+        for labels in (
+            ([2, 1, 0], [2, 1], [1]),
+            ([2, 1], [2, 1, 0, 0], [1, 0]),
+            ((2, 1), (2, 1), (1, 0, 0)),
+        ):
+            assert pw_set(*labels) == canonical
+        padded = pw_set([2], (2, 0), [1, 0])
+        assert [(tp.lam, tp.mu, tp.zeta) for tp in padded] == [((2,), (2,), (1,))]
 
 
 class TestTypedPictureLabels:

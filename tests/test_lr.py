@@ -5,7 +5,8 @@ from hookkron.errors import RangeError, SizeMismatchError
 from hookkron.hook_rule import multiplicity_exterior
 from hookkron.lr import exterior_multiplicity_via_lr, lr_coefficient
 from hookkron.oracle import dimension
-from hookkron.shapes import conjugate, contains, partitions
+from hookkron.pictures import enumerate_pictures
+from hookkron.shapes import conjugate, contains, partitions, skew
 
 
 class TestLRCoefficient:
@@ -34,6 +35,17 @@ class TestLRCoefficient:
                             assert lr_coefficient(lam, zeta, xi) == util.lr_via_characters(
                                 lam, zeta, xi
                             )
+
+    def test_equals_the_picture_count(self):
+        for n in range(1, 7):
+            for lam in partitions(n):
+                for m in range(n + 1):
+                    for zeta in partitions(n - m):
+                        if not contains(lam, zeta):
+                            continue
+                        for xi in partitions(m):
+                            pictures = enumerate_pictures(skew(xi, ()), skew(lam, zeta))
+                            assert lr_coefficient(lam, zeta, xi) == len(pictures)
 
     def test_symmetry_in_the_lower_labels(self):
         for n in range(1, 9):

@@ -86,6 +86,21 @@ class TestKronecker:
         with pytest.raises(SizeMismatchError):
             kronecker((2, 1), (2,), (2, 1))
 
+    def test_equals_the_unmemoised_product(self):
+        table = character_table(5)
+        for lam in partitions(5):
+            for nu in partitions(5):
+                for mu in partitions(5):
+                    rows = [table.rows[table.index(p)] for p in (lam, nu, mu)]
+                    total = sum(s * a * b * c for s, a, b, c in zip(table.class_sizes, *rows))
+                    assert kronecker(lam, nu, mu) * factorial(5) == total
+
+    def test_cap_holds_after_a_memo_hit(self):
+        triple = ((3, 2), (4, 1), (3, 1, 1))
+        assert kronecker(*triple) == kronecker(*triple)
+        with pytest.raises(TooLargeError):
+            kronecker(*triple, cap=4)
+
 
 class TestExteriorMultiplicity:
     def test_boundaries(self):

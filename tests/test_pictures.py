@@ -16,6 +16,7 @@ from hookkron.errors import (
 from hookkron.lr import lr_coefficient
 from hookkron.pictures import (
     Picture,
+    _search,
     addable_cocorners,
     enumerate_pictures,
     picture_bump_destination,
@@ -150,6 +151,18 @@ class TestEnumeration:
                 reading = {cell: k for k, cell in enumerate(target.cells())}
                 expected.sort(key=lambda m: [reading[m[x]] for x in source.cells()])
                 assert [dict(p.pairs()) for p in got] == expected
+
+    def test_search_leaves_rebuild_the_pictures(self):
+        shapes = util.small_skew_shapes(max_outer=5, max_cells=4)
+        for source in shapes:
+            for target in shapes:
+                if source.size != target.size:
+                    continue
+                src, tgt = source.cells(), target.cells()
+                leaves = _search(source, target)
+                assert [dict(zip(src, map(tgt.__getitem__, leaf))) for leaf in leaves] == [
+                    dict(p.pairs()) for p in enumerate_pictures(source, target)
+                ]
 
     def test_count_formula_with_skew_source(self):
         # picture count = sum over middle shapes of the product of the two

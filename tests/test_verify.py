@@ -1,7 +1,12 @@
+import concurrent.futures
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hookkron
 import hookkron.hook_rule as hook_rule
 from hookkron import parallel
 from hookkron.verify import verify_range
@@ -36,12 +41,36 @@ class TestVerifyRange:
         assert "failures" in report.summary()
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 class TestOrderedMap:
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
+        # a platform without CPU affinity falls back on the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         tasks = list(range(10))
         assert parallel.ordered_map(abs, tasks, jobs=64) == [abs(t) for t in tasks]
+
+    def test_jobs_clamped_to_usable_cpus(self, monkeypatch):
+        # a cpuset-limited process reports the host's count from cpu_count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        tasks = list(range(10))
+        assert parallel.ordered_map(abs, tasks, jobs=64) == [abs(t) for t in tasks]
+
+    def test_import_loads_no_process_machinery(self):
+        code = (
+            "import sys, hookkron, hookkron.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hookkron.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
