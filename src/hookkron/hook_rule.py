@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterator
 
 from .errors import (
@@ -62,9 +63,10 @@ class TypedPicture:
                 f"labels must partition the same n: {self.lam}, {self.mu}"
             )
         # the picture's shapes are nested, so equal shapes put zeta inside lam and mu
-        if self.picture.target != SkewShape(self.lam, self.zeta):
+        source, target = self.picture.source, self.picture.target
+        if (target.outer, target.inner) != (self.lam, self.zeta):
             raise ValueError("picture target must be the lam/zeta shape")
-        if self.picture.source != SkewShape(conjugate(self.mu), conjugate(self.zeta)):
+        if (source.outer, source.inner) != (conjugate(self.mu), conjugate(self.zeta)):
             raise ValueError("picture source must be the transposed mu/zeta shape")
 
     @property
@@ -78,11 +80,36 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
     # canonical labels, as TypedPicture compares them
     mu, zeta, lam = partition(mu), partition(zeta), partition(lam)
-    if not (contains(lam, zeta) and contains(mu, zeta)):
+    if not (contains(lam, zeta) and contains(mu, zeta) and _may_have_pictures(lam, mu, zeta)):
         return []
     source = SkewShape(conjugate(mu), conjugate(zeta))
     target = SkewShape(lam, zeta)
     return [TypedPicture(lam, mu, zeta, p) for p in enumerate_pictures(source, target)]
+
+
+def _may_have_pictures(lam: Partition, mu: Partition, zeta: Partition) -> bool:
+    """False only when no picture maps X = mu'/zeta' onto Y = lam/zeta (zeta
+    inside both).  Zelevinsky: the pictures X -> Y number <s_X, s_Y>, so some
+    nu has c^X_nu > 0 and c^Y_nu > 0.  Every such nu lies, in dominance order,
+    between the shape's sorted row lengths and the conjugate of its sorted
+    column lengths; so rows(X) <= cols(Y)' and rows(Y) <= cols(X)'.  The rows
+    of Y and the columns of X are lam_i - zeta_i and mu_i - zeta_i; the rows of
+    X and the columns of Y are mu'_j - zeta'_j and lam'_j - zeta'_j."""
+    lam_c, mu_c, zeta_c = conjugate(lam), conjugate(mu), conjugate(zeta)
+    for row_outer, col_outer, inner in ((mu_c, lam_c, zeta_c), (lam, mu, zeta)):
+        pad = inner + (0,) * (len(row_outer) + len(col_outer))  # map stops at the outer's end
+        rows = sorted(map(sub, row_outer, pad), reverse=True)
+        cols = sorted(map(sub, col_outer, pad))
+        # the k largest rows against the first k parts of cols', a running sum of #{col >= k}
+        j = total = room = 0
+        for k, r in enumerate(rows, 1):
+            while j < len(cols) and cols[j] < k:
+                j += 1
+            room += len(cols) - j
+            total += r
+            if total > room:
+                return False
+    return True
 
 
 def _overlap_sets(
@@ -90,7 +117,8 @@ def _overlap_sets(
 ) -> Iterator[tuple[Partition, list[TypedPicture]]]:
     """The non-empty per-overlap picture sets of leg size ``m``, one at a time
     after one check of the labels: the one loop over overlaps, visiting only
-    the zeta of n - m inside lam and mu (no other has pictures), in the fixed order."""
+    the zeta of n - m inside lam and mu (no other has pictures), in the fixed
+    order; ``pw_set`` searches only those that pass ``_may_have_pictures``."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")

@@ -147,8 +147,10 @@ def rw_to_picture(
 
 def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
     """All pictures from ``source`` onto ``target``, one validated per search leaf."""
-    src, tgt = source.cells(), target.cells()
     leaves = _search(source, target)
+    if not leaves:
+        return []
+    src, tgt = source.cells(), target.cells()
     return [Picture(source, target, dict(zip(src, map(tgt.__getitem__, v)))) for v in leaves]
 
 

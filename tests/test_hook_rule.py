@@ -1,8 +1,10 @@
+import functools
 import json
 
 import pytest
 
 import worked_examples as ex
+from hookkron import pictures
 from hookkron.errors import (
     NotCoHookShapeError,
     NotHookShapeError,
@@ -11,6 +13,7 @@ from hookkron.errors import (
 )
 from hookkron.hook_rule import (
     TypedPicture,
+    _may_have_pictures,
     balanced_cocorner,
     balanced_corner,
     decompose_tensor_exterior,
@@ -25,11 +28,13 @@ from hookkron.hook_rule import (
     step_F,
 )
 from hookkron.oracle import kronecker
-from hookkron.pictures import rw_to_picture
+from hookkron.pictures import enumerate_pictures, rw_to_picture
 from hookkron.shapes import (
+    SkewShape,
     conjugate,
     hook_partition,
     partitions,
+    partitions_inside,
     skew,
     transpose_shape,
 )
@@ -331,3 +336,52 @@ def test_picture_counts_match_pointwise():
         assert hook[m] == multiplicity_hook(lam, mu, m)
     for m in range(6):
         assert exterior[m] == multiplicity_exterior(lam, mu, m)
+
+
+@functools.lru_cache(maxsize=None)
+def empty_overlaps(n: int) -> tuple[int, int]:
+    """(empty, gated) over every lam, mu |- n and zeta inside both: how many
+    overlaps have no picture, and how many of those the gate rejects.  Checks
+    on the way that ``pw_set`` counts what the ungated search finds and that
+    the gate never rejects an overlap with a picture."""
+    empty = gated = 0
+    for lam in partitions(n):
+        for mu in partitions(n):
+            for k in range(n + 1):
+                for zeta in partitions_inside(tuple(map(min, lam, mu)), k):
+                    source = SkewShape(conjugate(mu), conjugate(zeta))
+                    count = len(enumerate_pictures(source, SkewShape(lam, zeta)))
+                    may = _may_have_pictures(lam, mu, zeta)
+                    assert len(pw_set(lam, mu, zeta)) == count, (lam, mu, zeta)
+                    assert may or count == 0, (lam, mu, zeta)
+                    empty += count == 0
+                    gated += not may
+    return empty, gated
+
+
+class TestOverlapGate:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gate_is_sound(self, n):
+        empty, gated = empty_overlaps(n)
+        assert gated <= empty
+
+    def test_gate_rejects_most_empty_overlaps(self):
+        # a gate that always says "maybe" rejects none of the 2,514
+        empty, gated = empty_overlaps(8)
+        assert empty == 2514 and gated >= 2400
+
+    def test_gated_staircase_runs_fewer_searches(self, monkeypatch):
+        # ungated, this decomposition runs 1,306 searches, 240 of them empty
+        searches = []
+        search = pictures._search
+
+        def counted(source, target):
+            searches.append(target)
+            return search(source, target)
+
+        monkeypatch.setattr(pictures, "_search", counted)
+        table = decompose_tensor_hook((5, 4, 3, 2, 1), 7)
+        assert len(searches) <= 1086
+        assert len(table.rows) == 131
+        assert sum(r.ph for r in table.rows) == 7316
+        assert sum(r.pw for r in table.rows) == 13684
