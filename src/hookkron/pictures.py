@@ -86,26 +86,42 @@ def _validate_picture(
     source: SkewShape, target: SkewShape, mapping: dict[Cell, Cell]
 ) -> dict[Cell, Cell]:
     # sizes first: a shape can name far more cells than any input could fill
-    if len(mapping) != source.size or set(mapping) != set(source.cells()):
+    if len(mapping) != source.size or mapping.keys() != (src := _shape_table(source))[0]:
         raise ValueError("mapping keys must be exactly the source cells")
     inv: dict[Cell, Cell] = {}
     for x, y in mapping.items():
         if y in inv:
             raise ValueError(f"mapping is not injective at {format_cell(y)}")
         inv[y] = x
-    if len(inv) != target.size or set(inv) != set(target.cells()):
+    if len(inv) != target.size or inv.keys() != (tgt := _shape_table(target))[0]:
         raise ValueError("mapping values must be exactly the target cells")
     # A skew diagram is convex: every cell between two of its cells in the
     # northwest order lies in it, so that order is generated by right and down
     # neighbour pairs.  The southwest order is transitive, so checking
     # neighbour pairs both ways accepts exactly the order-preserving maps.
-    for forward, what in ((mapping, "not"), (inv, "inverse not")):
-        for (i, j), image in forward.items():
-            for neighbour in ((i, j + 1), (i + 1, j)):
-                other = forward.get(neighbour)
-                if other is not None and not leq_sw(image, other):
-                    raise ValueError(f"{what} order-preserving at {(i, j)}, {neighbour}")
+    for forward, pairs, what in ((mapping, src[1], "not"), (inv, tgt[1], "inverse not")):
+        bad = [(a, b) for a, b in pairs if not leq_sw(forward[a], forward[b])]
+        if bad:
+            # name the first failing pair in the mapping's own order, right neighbour first
+            rank = {cell: k for k, cell in enumerate(forward)}
+            a, b = min(bad, key=lambda pair: (rank[pair[0]], pair[1][0]))
+            raise ValueError(f"{what} order-preserving at {a}, {b}")
     return inv
+
+
+@lru_cache(maxsize=64)
+def _shape_table(shape: SkewShape) -> tuple[frozenset[Cell], tuple[tuple[Cell, Cell], ...]]:
+    """The cell set and the right/down neighbour pairs of ``shape``; bounded,
+    since most source shapes serve one overlap only."""
+    order = shape.cells()
+    cells = frozenset(order)
+    pairs = tuple(
+        ((i, j), neighbour)
+        for i, j in order
+        for neighbour in ((i, j + 1), (i + 1, j))
+        if neighbour in cells
+    )
+    return cells, pairs
 
 
 def picture_to_rw(p: Picture, reading: Mapping[Cell, int]) -> PartialTableau:

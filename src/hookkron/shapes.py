@@ -208,7 +208,12 @@ def inner_corners(s: SkewShape) -> list[Cell]:
 
 def inner_cocorners(s: SkewShape) -> list[Cell]:
     """Corners of the inner partition (cells just inside the inner boundary)."""
-    return sorted(corners(s.inner), key=sw_key)
+    return list(_sorted_corners(s.inner))
+
+
+@lru_cache(maxsize=None)
+def _sorted_corners(p: Partition) -> tuple[Cell, ...]:
+    return tuple(sorted(corners(p), key=sw_key))
 
 
 def extreme_cocorners(s: SkewShape) -> list[Cell]:

@@ -152,18 +152,19 @@ def bump_route(
     """
     cells: list[Cell] = []
     landed: list[T] = []
-    for i in range(shape.length, 0, -1):
-        lo, hi = shape.row_bounds(i)
+    outer, inner = shape.outer, shape.inner
+    for i in range(len(outer), 0, -1):
+        lo, hi = inner[i - 1] if i <= len(inner) else 0, outer[i - 1]
         landed.append(carry)
         for j in range(hi, lo, -1):
-            if lt(entry((i, j)), carry):
+            if lt(bumped := entry((i, j)), carry):
                 break
         else:
             cells.append((i, lo))
             return BumpRoute(tuple(cells), tuple(landed))
         cells.append((i, j))
-        carry = entry((i, j))
-    cells.append((0, shape.outer[0]))
+        carry = bumped
+    cells.append((0, outer[0]))
     landed.append(carry)
     return BumpRoute(tuple(cells), tuple(landed))
 

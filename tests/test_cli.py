@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -55,6 +56,16 @@ class TestDecompose:
         assert outputs[0] == outputs[1] == outputs[2]
         obj = json.loads(outputs[0])
         assert obj["lambda"] == [4, 2] and obj["m"] == 3
+
+    def test_staircase_json_is_byte_identical(self, capsys):
+        # digest of the stdout as released; a speed change must not move a byte
+        code, out, _ = run_cli(
+            capsys, "decompose", "--lambda", "5,4,3,2,1", "--m", "7", "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b8a4922ca106523801f4a8c8171183bac62f212ed02900b4ef3f871fc8c54623"
+        )
 
     def test_tsv(self, capsys):
         code, out, _ = run_cli(

@@ -13,10 +13,12 @@ from hookkron.errors import (
     NotRemmelWhitneyError,
     NotRemovableError,
 )
+from hookkron.hook_rule import decompose_tensor_hook
 from hookkron.lr import lr_coefficient
 from hookkron.pictures import (
     Picture,
     _search,
+    _shape_table,
     addable_cocorners,
     enumerate_pictures,
     picture_bump_destination,
@@ -43,6 +45,47 @@ class TestPictureValidation:
     def test_rejects_wrong_domain(self):
         with pytest.raises(ValueError):
             Picture(skew((1,), ()), skew((1,), ()), {(2, 1): (1, 1)})
+
+    @pytest.mark.parametrize(
+        "source, target, mapping, message",
+        [
+            # as many keys as source cells, but not the source cells
+            (((2,), ()), ((2,), ()), {(1, 1): (1, 1), (2, 1): (1, 2)},
+             "mapping keys must be exactly the source cells"),
+            # (1,3) repeats before (1,2) does
+            (((3, 1), ()), ((4,), ()),
+             {(2, 1): (1, 2), (1, 1): (1, 3), (1, 2): (1, 3), (1, 3): (1, 2)},
+             "mapping is not injective at (1,3)"),
+            (((2,), ()), ((2,), ()), {(1, 1): (1, 1), (1, 2): (2, 1)},
+             "mapping values must be exactly the target cells"),
+            (((2,), ()), ((1, 1), ()), {(1, 1): (1, 1), (1, 2): (2, 1)},
+             "not order-preserving at (1, 1), (1, 2)"),
+            (((2, 1), (1,)), ((2,), ()), {(2, 1): (1, 2), (1, 2): (1, 1)},
+             "inverse not order-preserving at (1, 1), (1, 2)"),
+            # several failing pairs: the first in the mapping's own order is named
+            (((2, 2), ()), ((2, 2), ()),
+             {(1, 1): (2, 2), (1, 2): (2, 1), (2, 1): (1, 2), (2, 2): (1, 1)},
+             "not order-preserving at (1, 1), (1, 2)"),
+            (((2, 2), ()), ((2, 2), ()),
+             {(2, 2): (1, 1), (2, 1): (1, 2), (1, 2): (2, 1), (1, 1): (2, 2)},
+             "not order-preserving at (2, 1), (2, 2)"),
+            (((3, 2, 1), (2, 1)), ((3,), ()), {(3, 1): (1, 3), (2, 2): (1, 2), (1, 3): (1, 1)},
+             "inverse not order-preserving at (1, 2), (1, 3)"),
+            (((3, 2, 1), (2, 1)), ((3,), ()), {(1, 3): (1, 1), (2, 2): (1, 2), (3, 1): (1, 3)},
+             "inverse not order-preserving at (1, 1), (1, 2)"),
+        ],
+    )
+    def test_malformed_mapping_messages(self, source, target, mapping, message):
+        with pytest.raises(ValueError) as info:
+            Picture(skew(*source), skew(*target), mapping)
+        assert str(info.value) == message
+
+    def test_shape_table_memo_is_bounded(self):
+        # most source shapes serve one overlap, so an unbounded memo grows with the run
+        assert _shape_table.cache_info().maxsize is not None
+        decompose_tensor_hook((5, 4, 3, 2, 1), 7)
+        info = _shape_table.cache_info()
+        assert info.currsize <= info.maxsize
 
     def test_identity_on_single_cell(self):
         p = Picture(skew((1,), ()), skew((1,), ()), {(1, 1): (1, 1)})

@@ -9,6 +9,7 @@ from hookkron.shapes import (
     SkewShape,
     conjugate,
     contains,
+    corners,
     format_partition,
     icc_bar,
     inner_cocorners,
@@ -202,6 +203,14 @@ class TestCornerSets:
             if no_empty_rows:
                 assert len(bar) == len(ic) + 1
                 assert all(a != b for a, b in zip(kinds, kinds[1:]))
+
+    def test_inner_cocorners_is_a_fresh_sorted_list(self):
+        # served from a memo on the inner partition, copied on every call
+        for s in util.small_skew_shapes(max_outer=6, max_cells=6):
+            first = inner_cocorners(s)
+            assert first == sorted(corners(s.inner), key=sw_key)
+            first.append((0, 0))
+            assert inner_cocorners(s) == sorted(corners(s.inner), key=sw_key)
 
     def test_inner_corner_characterisation(self):
         from hookkron.shapes import cocorners, corners
