@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, file,
-oracle or out-of-memory error.
+oracle, out-of-memory or too-deep-recursion error.
 JSON output is byte-identical across runs and across ``--jobs`` settings.
 """
 
@@ -196,8 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        print("error: out of memory: the input is too large", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:
+        limit = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
+        print(f"error: {limit}: the input is too large", file=sys.stderr)
         return 2
 
 

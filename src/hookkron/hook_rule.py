@@ -199,6 +199,11 @@ def picture_counts(lam: Partition, mu: Partition) -> tuple[tuple[int, ...], tupl
     return tuple(row.ph for row in rows), tuple(row.pw for row in rows)
 
 
+def _count_record(label: str, parts: Partition, ph: int | None, pw: int) -> dict:
+    """A count as JSON, ``{label: parts, "ph", "pw"}``; no ``"ph"`` when it is None."""
+    return {label: list(parts), **({} if ph is None else {"ph": ph}), "pw": pw}
+
+
 @dataclass(frozen=True)
 class ZetaCount:
     zeta: Partition
@@ -206,11 +211,7 @@ class ZetaCount:
     pw: int
 
     def to_json(self) -> dict:
-        out: dict = {"zeta": list(self.zeta)}
-        if self.ph is not None:
-            out["ph"] = self.ph
-        out["pw"] = self.pw
-        return out
+        return _count_record("zeta", self.zeta, self.ph, self.pw)
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,11 @@ class DecompositionTable:
     rows: tuple[TableRow, ...]
 
     def to_json(self) -> dict:
-        rows = []
-        for row in self.rows:
-            entry: dict = {"mu": list(row.mu)}
-            if row.ph is not None:
-                entry["ph"] = row.ph
-            entry["pw"] = row.pw
-            entry["by_zeta"] = [zc.to_json() for zc in row.by_zeta]
-            rows.append(entry)
+        rows = [
+            _count_record("mu", row.mu, row.ph, row.pw)
+            | {"by_zeta": [zc.to_json() for zc in row.by_zeta]}
+            for row in self.rows
+        ]
         return {"lambda": list(self.lam), "m": self.m, "rows": rows}
 
 

@@ -16,6 +16,8 @@ from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError
 from .shapes import (
     Cell,
     SkewShape,
+    _json_ints,
+    _shape_table,
     add_cell,
     format_cell,
     icc_bar,
@@ -95,10 +97,6 @@ def _validate_picture(
         inv[y] = x
     if len(inv) != target.size or inv.keys() != (tgt := _shape_table(target))[0]:
         raise ValueError("mapping values must be exactly the target cells")
-    # A skew diagram is convex: every cell between two of its cells in the
-    # northwest order lies in it, so that order is generated by right and down
-    # neighbour pairs.  The southwest order is transitive, so checking
-    # neighbour pairs both ways accepts exactly the order-preserving maps.
     for forward, pairs, what in ((mapping, src[1], "not"), (inv, tgt[1], "inverse not")):
         bad = [(a, b) for a, b in pairs if not leq_sw(forward[a], forward[b])]
         if bad:
@@ -107,21 +105,6 @@ def _validate_picture(
             a, b = min(bad, key=lambda pair: (rank[pair[0]], pair[1][0]))
             raise ValueError(f"{what} order-preserving at {a}, {b}")
     return inv
-
-
-@lru_cache(maxsize=64)
-def _shape_table(shape: SkewShape) -> tuple[frozenset[Cell], tuple[tuple[Cell, Cell], ...]]:
-    """The cell set and the right/down neighbour pairs of ``shape``; bounded,
-    since most source shapes serve one overlap only."""
-    order = shape.cells()
-    cells = frozenset(order)
-    pairs = tuple(
-        ((i, j), neighbour)
-        for i, j in order
-        for neighbour in ((i, j + 1), (i + 1, j))
-        if neighbour in cells
-    )
-    return cells, pairs
 
 
 def picture_to_rw(p: Picture, reading: Mapping[Cell, int]) -> PartialTableau:
@@ -143,15 +126,14 @@ def rw_to_picture(
     composition; the result must be a picture, so horizontally/vertically
     adjacent target cells pull back to southwest-comparable source cells.
     """
-    cells = target.cells()
-    if set(reading) != set(cells):
+    if len(reading) != target.size or reading.keys() != _shape_table(target)[0]:
         raise ValueError("reading must be defined on exactly the target cells")
+    # cells come in reading order, so a later cell is never weakly southwest of an earlier one
+    cells = target.cells()
     for k, x in enumerate(cells):
         for y in cells[k + 1:]:
             if leq_sw(x, y) and reading[x] >= reading[y]:
                 raise ValueError(f"reading is not an order map at {x}, {y}")
-            if leq_sw(y, x) and reading[y] >= reading[x]:
-                raise ValueError(f"reading is not an order map at {y}, {x}")
     if t.image() != frozenset(reading.values()):
         raise NotRemmelWhitneyError("tableau image differs from the reading image")
     inv_reading = {value: cell for cell, value in reading.items()}
@@ -290,11 +272,9 @@ def picture_to_json(p: Picture) -> dict:
 
 
 def picture_from_json(obj: dict) -> Picture:
-    source = skew(obj["source"]["outer"], obj["source"]["inner"])
-    target = skew(obj["target"]["outer"], obj["target"]["inner"])
-    mapping = {
-        (int(r), int(c)): (int(r2), int(c2)) for r, c, r2, c2 in obj["map"]
-    }
+    source = skew(_json_ints(obj["source"]["outer"]), _json_ints(obj["source"]["inner"]))
+    target = skew(_json_ints(obj["target"]["outer"]), _json_ints(obj["target"]["inner"]))
+    mapping = {(r, c): (r2, c2) for r, c, r2, c2 in map(_json_ints, obj["map"])}
     return Picture(source, target, mapping)
 
 

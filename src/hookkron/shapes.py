@@ -54,6 +54,16 @@ def parse_cell(text: str) -> Cell:
     return (row, col)
 
 
+def _json_ints(values: Iterable) -> tuple[int, ...]:
+    """``values`` as a tuple, refusing any JSON value but an integer (``true``
+    included), so that no input is truncated or coerced on its way in."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise ValueError(f"expected a JSON integer, got {x!r:.40}")
+    return out
+
+
 def format_cell(c: Cell) -> str:
     return f"({c[0]},{c[1]})"
 
@@ -186,6 +196,24 @@ def _reading_cells(shape: SkewShape) -> tuple[Cell, ...]:
         lo, hi = shape.row_bounds(i)
         out.extend((i, j) for j in range(lo + 1, hi + 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _shape_table(shape: SkewShape) -> tuple[frozenset[Cell], tuple[tuple[Cell, Cell], ...]]:
+    """The cell set and the right/down neighbour pairs of ``shape``, in reading
+    order, right first; bounded, as most source shapes serve one overlap.  A
+    skew diagram is convex (a cell between two of its cells in the northwest
+    order lies in it), so these pairs generate that order, and a map into the
+    southwest order or ``<``, both transitive, keeps it if it keeps them."""
+    order = shape.cells()
+    cells = frozenset(order)
+    pairs = tuple(
+        ((i, j), neighbour)
+        for i, j in order
+        for neighbour in ((i, j + 1), (i + 1, j))
+        if neighbour in cells
+    )
+    return cells, pairs
 
 
 def skew(outer: Iterable[int], inner: Iterable[int]) -> SkewShape:

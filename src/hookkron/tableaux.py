@@ -24,6 +24,8 @@ from .errors import (
 from .shapes import (
     Cell,
     SkewShape,
+    _json_ints,
+    _shape_table,
     add_cell,
     format_cell,
     inner_corners,
@@ -81,7 +83,7 @@ class PartialTableau:
 
 def _validate(shape: SkewShape, entries: dict[Cell, int]) -> None:
     # sizes first: a shape can name far more cells than any input could fill
-    if len(entries) != shape.size or set(entries) != set(shape.cells()):
+    if len(entries) != shape.size or entries.keys() != (table := _shape_table(shape))[0]:
         raise ValueError(f"entries must fill {shape} exactly")
     seen: set[int] = set()
     for v in entries.values():
@@ -90,12 +92,10 @@ def _validate(shape: SkewShape, entries: dict[Cell, int]) -> None:
         if v in seen:
             raise DuplicateValueError(f"value {v} appears twice")
         seen.add(v)
-    for i, j in shape.cells():
-        right = entries.get((i, j + 1))
-        if right is not None and entries[(i, j)] >= right:
-            raise ValueError(f"row {i} is not increasing at column {j}")
-        below = entries.get((i + 1, j))
-        if below is not None and entries[(i, j)] >= below:
+    for (i, j), neighbour in table[1]:
+        if entries[(i, j)] >= entries[neighbour]:
+            if neighbour == (i, j + 1):
+                raise ValueError(f"row {i} is not increasing at column {j}")
             raise ValueError(f"column {j} is not increasing at row {i}")
 
 
@@ -255,8 +255,8 @@ def tableau_to_json(t: PartialTableau) -> dict:
 
 
 def tableau_from_json(obj: dict) -> PartialTableau:
-    shape = skew(obj["outer"], obj["inner"])
-    entries = {(int(r), int(c)): int(v) for r, c, v in obj["entries"]}
+    shape = skew(_json_ints(obj["outer"]), _json_ints(obj["inner"]))
+    entries = {(r, c): v for r, c, v in map(_json_ints, obj["entries"])}
     return PartialTableau(shape, entries)
 
 

@@ -52,23 +52,14 @@ class VerifyReport:
 def _verify_pair(task: tuple) -> tuple[int, list[Mismatch]]:
     n, lam, mu = task
     hook_counts, exterior_counts = hook_rule.picture_counts(lam, mu)
-    checks = 0
-    bad: list[Mismatch] = []
-    for m in range(n):
-        expected = oracle.kronecker(lam, hook_partition(n, m), mu)
-        checks += 1
-        if hook_counts[m] != expected:
-            bad.append(Mismatch(n, lam, mu, m, "hook", hook_counts[m], expected))
-    for m in range(n + 1):
-        expected = oracle.exterior_multiplicity(lam, mu, m)
-        checks += 1
-        if exterior_counts[m] != expected:
-            bad.append(Mismatch(n, lam, mu, m, "exterior", exterior_counts[m], expected))
-        via_lr = lr.exterior_multiplicity_via_lr(lam, mu, m)
-        checks += 1
-        if exterior_counts[m] != via_lr:
-            bad.append(Mismatch(n, lam, mu, m, "exterior-lr", exterior_counts[m], via_lr))
-    return checks, bad
+    checks = [
+        ("hook", m, hook_counts[m], oracle.kronecker(lam, hook_partition(n, m), mu))
+        for m in range(n)
+    ]
+    for m, counted in enumerate(exterior_counts):
+        checks.append(("exterior", m, counted, oracle.exterior_multiplicity(lam, mu, m)))
+        checks.append(("exterior-lr", m, counted, lr.exterior_multiplicity_via_lr(lam, mu, m)))
+    return len(checks), [Mismatch(n, lam, mu, m, q, c, e) for q, m, c, e in checks if c != e]
 
 
 def verify_range(

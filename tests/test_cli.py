@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +150,12 @@ class TestPictures:
         assert any("*" in part for part in left)
         assert all("*" not in part for part in right)
 
+    def test_parenthesised_bump_cell(self, capsys):
+        argv = ["pictures", "--lambda", "2,1", "--mu", "2,1", "--zeta", "1", "--format", "json"]
+        plain = run_cli(capsys, *argv, "--bump", "1,1")
+        assert plain[0] == 0 and '"bump"' in plain[1]
+        assert run_cli(capsys, *argv, "--bump", "(1,1)") == plain
+
     def test_invalid_bump_cell_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -202,6 +210,28 @@ class TestVerify:
         assert code == 1
         assert "FAIL n=3" in out and "hook" in out
 
+    @pytest.mark.parametrize(
+        "module, name, quantity",
+        [
+            ("oracle", "exterior_multiplicity", "exterior"),
+            ("lr", "exterior_multiplicity_via_lr", "exterior-lr"),
+        ],
+    )
+    def test_exterior_mismatches_exit_1(self, capsys, monkeypatch, module, name, quantity):
+        source = importlib.import_module(f"hookkron.{module}")
+        true_value = getattr(source, name)
+        monkeypatch.setattr(source, name, lambda *args: true_value(*args) + 1)
+        code, out, _ = run_cli(capsys, "verify", "--n", "3")
+        *fails, summary = out.splitlines()
+        assert code == 1
+        # 3 x 3 pairs, each with 3 hook checks and 4 of each exterior quantity (m = 0..3)
+        assert summary == "checks: 99, failures: 36"
+        assert len(fails) == 36
+        for line in fails:
+            assert line.startswith("FAIL n=3 ") and f" {quantity}: counted " in line
+            counted, expected = (int(x) for x in re.findall(r"\d+", line.split(": ")[-1]))
+            assert expected == counted + 1
+
     def test_cache_env_var(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "cache.json"
         monkeypatch.setenv("HOOKKRON_CACHE", str(path))
@@ -239,6 +269,14 @@ class TestVerify:
         assert (code, out) == (0, "checks: 833, all pass\n")
         assert err.startswith("warning: ") and err.count("\n") == 1
         assert path.read_text() == good
+
+
+TABLEAU = {"outer": [2, 1], "inner": [1], "entries": [[2, 1, 1], [1, 2, 5]]}
+PICTURE = {
+    "source": {"outer": [1], "inner": []},
+    "target": {"outer": [1], "inner": []},
+    "map": [[1, 1, 1, 1]],
+}
 
 
 class TestRender:
@@ -281,6 +319,39 @@ class TestRender:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize(
+        "payload, path",
+        [
+            (TABLEAU, ("entries", 0, 1)),
+            (TABLEAU, ("entries", 0, 2)),
+            (TABLEAU, ("inner", 0)),
+            (PICTURE, ("map", 0, 1)),
+            (PICTURE, ("map", 0, 2)),
+            (PICTURE, ("source", "outer", 0)),
+        ],
+        ids=[
+            "tableau-cell", "tableau-value", "tableau-part",
+            "picture-cell", "picture-value", "picture-part",
+        ],
+    )
+    def test_non_integer_number_exits_2(self, capsys, monkeypatch, payload, path, bad):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        assert run_cli(capsys, "render")[0] == 0
+        obj = json.loads(json.dumps(payload))
+        *parents, last = path
+        holder = obj
+        for key in parents:
+            holder = holder[key]
+        # int() would turn each bad value back into this 1 and render the payload
+        assert holder[last] == 1
+        holder[last] = bad
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run_cli(capsys, "render")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "JSON integer" in err
 
     @pytest.mark.parametrize(
         "payload",
@@ -372,6 +443,21 @@ class TestUsage:
 
         monkeypatch.setattr(hook_rule, "partitions", exhausted)
         code, out, err = run_cli(capsys, "decompose", "--lambda", "5,3,1,1", "--m", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["lr", "--lambda", "1200", "--zeta", "0", "--xi", "1200"], ""),
+            (["render"], "[" * 100_000),
+        ],
+        ids=["search-depth", "json-nesting"],
+    )
+    def test_recursion_error_exits_2(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from random import Random
 
 import pytest
@@ -140,6 +141,33 @@ class TestRemmelWhitneyCorrespondence:
         t = PartialTableau(skew(ex.T_OUTER, ex.T_INNER), entries)
         with pytest.raises(NotRemmelWhitneyError):
             rw_to_picture(t, example_reading, skew(ex.BIG_OUTER, ex.TARGET_INNER))
+
+    @pytest.mark.parametrize(
+        "reading",
+        [{}, {(1, 2): 1}, {(1, 1): 1, (1, 2): 2}],
+        ids=["empty", "other-cell", "extra-cell"],
+    )
+    def test_reading_off_the_target_cells_rejected(self, reading):
+        t = PartialTableau(skew((1,), ()), {(1, 1): 1})
+        with pytest.raises(ValueError, match="reading must be defined on exactly the target cells"):
+            rw_to_picture(t, reading, skew((1,), ()))
+
+    @pytest.mark.parametrize(
+        "target, values, cells",
+        [
+            ((2,), (2, 1), "(1, 1), (1, 2)"),
+            ((2,), (1, 1), "(1, 1), (1, 2)"),
+            ((1, 1), (2, 1), "(2, 1), (1, 1)"),
+        ],
+        ids=["same-row", "repeated-number", "across-rows"],
+    )
+    def test_reading_that_is_not_an_order_map_rejected(self, target, values, cells):
+        # the first cell is southwest of the second, so its number must be smaller
+        shape = skew(target, ())
+        reading = dict(zip(shape.cells(), values))
+        t = PartialTableau(skew((2,), ()), {(1, 1): 1, (1, 2): 2})
+        with pytest.raises(ValueError, match=re.escape(f"reading is not an order map at {cells}")):
+            rw_to_picture(t, reading, shape)
 
     def test_image_mismatch_rejected(self, example_reading):
         entries = {c: v + 100 for c, v in ex.T_ENTRIES.items()}

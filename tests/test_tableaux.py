@@ -70,6 +70,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             PartialTableau(skew((1, 1), ()), {(1, 1): 5, (2, 1): 3})
 
+    @pytest.mark.parametrize(
+        "outer, entries, message",
+        [
+            ((2,), {(1, 1): 1}, "entries must fill (2)/(0) exactly"),
+            ((2,), {(1, 1): 1, (1, 3): 2}, "entries must fill (2)/(0) exactly"),
+            # several faults: the first cell in reading order is named, right before down
+            ((2, 2), {(2, 1): 4, (2, 2): 3, (1, 1): 5, (1, 2): 1}, "row 2 is not increasing at column 1"),
+            ((2, 2), {(2, 1): 1, (2, 2): 2, (1, 1): 5, (1, 2): 3}, "row 1 is not increasing at column 1"),
+            ((2, 2), {(2, 1): 1, (2, 2): 4, (1, 1): 2, (1, 2): 5}, "column 1 is not increasing at row 1"),
+        ],
+    )
+    def test_messages(self, outer, entries, message):
+        with pytest.raises(ValueError) as info:
+            PartialTableau(skew(outer, ()), entries)
+        assert str(info.value) == message
+
     def test_arbitrary_distinct_values_allowed(self):
         t = PartialTableau(skew((2,), ()), {(1, 1): 7, (1, 2): 19})
         assert t.image() == frozenset({7, 19})
