@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Iterator
 
-from .errors import (
-    NotCoHookShapeError,
-    NotHookShapeError,
-    RangeError,
-    SizeMismatchError,
-)
+from .errors import NotCoHookShapeError, NotHookShapeError, RangeError
 from .parallel import ordered_map
 from .pictures import Picture, enumerate_pictures, picture_delete, picture_insert
 from .shapes import (
@@ -32,11 +27,13 @@ from .shapes import (
     Partition,
     SkewShape,
     add_cell,
+    canonical_labels,
     conjugate,
     contains,
     format_partition,
     inner_cocorners,
     inner_corners,
+    label_size,
     lt_sw,
     partition,
     partitions,
@@ -57,16 +54,12 @@ class TypedPicture:
     picture: Picture
 
     def __post_init__(self):
-        n = sum(self.lam)
-        if sum(self.mu) != n:
-            raise SizeMismatchError(
-                f"labels must partition the same n: {self.lam}, {self.mu}"
-            )
-        # the picture's shapes are nested, so equal shapes put zeta inside lam and mu
+        label_size(self.lam, self.mu)
+        # exact: only canonical labels match; the shapes are nested, so zeta lies in lam and mu
         source, target = self.picture.source, self.picture.target
         if (target.outer, target.inner) != (self.lam, self.zeta):
             raise ValueError("picture target must be the lam/zeta shape")
-        if (source.outer, source.inner) != (conjugate(self.mu), conjugate(self.zeta)):
+        if (conjugate(source.outer), conjugate(source.inner)) != (self.mu, self.zeta):
             raise ValueError("picture source must be the transposed mu/zeta shape")
 
     @property
@@ -76,10 +69,8 @@ class TypedPicture:
 
 def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]:
     """All pictures of type (lam, mu; zeta); empty unless zeta sits in both."""
-    if sum(lam) != sum(mu):
-        raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
     # canonical labels, as TypedPicture compares them
-    mu, zeta, lam = partition(mu), partition(zeta), partition(lam)
+    (lam, mu), zeta = canonical_labels(lam, mu), partition(zeta)
     if not (contains(lam, zeta) and contains(mu, zeta) and _may_have_pictures(lam, mu, zeta)):
         return []
     source = SkewShape(conjugate(mu), conjugate(zeta))
@@ -115,21 +106,17 @@ def _may_have_pictures(lam: Partition, mu: Partition, zeta: Partition) -> bool:
 def _overlap_sets(
     lam: Partition, mu: Partition, m: int
 ) -> Iterator[tuple[Partition, list[TypedPicture]]]:
-    """The non-empty per-overlap picture sets of leg size ``m``, one at a time
-    after one check of the labels: the one loop over overlaps, visiting only
-    the zeta of n - m inside lam and mu (no other has pictures), in the fixed
-    order; ``pw_set`` searches only those that pass ``_may_have_pictures``."""
-    n = sum(lam)
-    if sum(mu) != n:
-        raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
-    if not 0 <= m <= n:
-        raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
-    inside = partitions_inside(tuple(map(min, lam, mu)), n - m)
+    """The non-empty per-overlap picture sets of leg size ``m`` (0 <= m <= n)
+    for canonical labels, one at a time: the one loop over overlaps, visiting
+    only the zeta of n - m inside lam and mu (no other has pictures), in the
+    fixed order; ``pw_set`` searches only those that pass ``_may_have_pictures``."""
+    inside = partitions_inside(tuple(map(min, lam, mu)), sum(lam) - m)
     return ((zeta, pics) for zeta in inside if (pics := pw_set(lam, mu, zeta)))
 
 
 def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:
     """Union of the per-overlap picture sets, overlaps in the fixed order."""
+    lam, mu = canonical_labels(lam, mu, m=m, exterior=True)
     return [tp for _, pics in _overlap_sets(lam, mu, m) for tp in pics]
 
 
@@ -181,20 +168,18 @@ def step_F(tp: TypedPicture) -> TypedPicture:
 def multiplicity_exterior(lam: Partition, mu: Partition, m: int) -> int:
     """Multiplicity of ``mu`` in ``lam`` tensored with the m-th exterior power
     of the defining module: the total picture count."""
-    return _table_row(lam, mu, m, with_hook=False).pw
+    return _table_row(*canonical_labels(lam, mu, m=m, exterior=True), m, with_hook=False).pw
 
 
 def multiplicity_hook(lam: Partition, mu: Partition, m: int) -> int:
     """Multiplicity of ``mu`` in ``lam`` tensored with the hook of leg ``m``:
     the number of pictures with a balanced cocorner."""
-    n = sum(lam)
-    if not 0 <= m < n:
-        raise RangeError(f"need 0 <= m < n, got m={m}, n={n}")
-    return _table_row(lam, mu, m, with_hook=True).ph
+    return _table_row(*canonical_labels(lam, mu, m=m), m, with_hook=True).ph
 
 
 def picture_counts(lam: Partition, mu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-leg counts (hook, exterior) for m = 0..n in one enumeration sweep."""
+    lam, mu = canonical_labels(lam, mu)
     rows = [_table_row(lam, mu, m, with_hook=True) for m in range(sum(lam) + 1)]
     return tuple(row.ph for row in rows), tuple(row.pw for row in rows)
 
@@ -259,18 +244,14 @@ def _decompose(lam: Partition, m: int, with_hook: bool, jobs: int = 1) -> Decomp
 
 def decompose_tensor_hook(lam: Partition, m: int, jobs: int = 1) -> DecompositionTable:
     """Decomposition of ``lam`` tensored with the hook of leg ``m``."""
-    n = sum(lam)
-    if not 0 <= m < n:
-        raise RangeError(f"need 0 <= m < n, got m={m}, n={n}")
+    (lam,) = canonical_labels(lam, m=m)
     return _decompose(lam, m, with_hook=True, jobs=jobs)
 
 
 def decompose_tensor_exterior(lam: Partition, m: int, jobs: int = 1) -> DecompositionTable:
     """Decomposition of ``lam`` tensored with the m-th exterior power of the
     defining module."""
-    n = sum(lam)
-    if not 0 <= m <= n:
-        raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
+    (lam,) = canonical_labels(lam, m=m, exterior=True)
     return _decompose(lam, m, with_hook=False, jobs=jobs)
 
 
@@ -281,8 +262,7 @@ def hook_hook_multiplicity(e: int, f: int, m: int, n: int) -> int:
     fixed by ``e`` and ``f``."""
     if not (0 <= 2 * e <= n and 2 * f <= n and e <= f):
         raise RangeError(f"need 2e <= n, 2f <= n, e <= f: e={e}, f={f}, n={n}")
-    if not 0 <= m < n:
-        raise RangeError(f"need 0 <= m < n, got m={m}, n={n}")
+    label_size((n,), m=m)  # the leg rule for degree n
     i = m - (f - e)
     if i < 0:
         return 0

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import RangeError, SizeMismatchError
+from .errors import SizeMismatchError
 from .pictures import _search
-from .shapes import Partition, conjugate, contains, partitions_inside, skew
+from .shapes import Partition, canonical_labels, conjugate, contains, partitions_inside, skew
 
 
 @lru_cache(maxsize=None)
@@ -31,13 +31,9 @@ def exterior_multiplicity_via_lr(lam: Partition, mu: Partition, m: int) -> int:
     label and a pair of conjugate shapes.  An LR coefficient vanishes unless
     both lower labels fit inside the upper one, so zeta runs over the
     partitions of n - m inside lam and mu, xi over those of m inside lam and mu'."""
-    n = sum(lam)
-    if sum(mu) != n:
-        raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
-    if not 0 <= m <= n:
-        raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
+    lam, mu = canonical_labels(lam, mu, m=m, exterior=True)
     total = 0
-    for zeta in partitions_inside(tuple(map(min, lam, mu)), n - m):
+    for zeta in partitions_inside(tuple(map(min, lam, mu)), sum(lam) - m):
         for xi in partitions_inside(tuple(map(min, lam, conjugate(mu))), m):
             left = lr_coefficient(lam, zeta, xi)
             if left:

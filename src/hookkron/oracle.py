@@ -18,8 +18,8 @@ from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
-from .errors import RangeError, SizeMismatchError, TooLargeError
-from .shapes import Partition, conjugate, hook_partition, partition, partitions
+from .errors import RangeError, TooLargeError
+from .shapes import Partition, conjugate, hook_partition, label_size, partition, partitions
 
 DEFAULT_CAP = 9
 CACHE_FORMAT_VERSION = 1
@@ -83,7 +83,11 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
 
     def index(self, p: Partition) -> int:
-        return _part_index(self.n)[p]
+        """Where label ``p`` sits; other spellings are made canonical on a miss."""
+        try:
+            return _part_index(self.n)[p]
+        except (KeyError, TypeError):
+            return _part_index(self.n)[partition(p)]
 
     def chi(self, lam: Partition, mu: Partition) -> int:
         return self.rows[self.index(lam)][self.index(mu)]
@@ -232,11 +236,8 @@ def kronecker(
 ) -> int:
     """Multiplicity of the ``mu`` irreducible in the tensor product of the
     ``lam`` and ``nu`` irreducibles; symmetric in all three labels."""
-    n = sum(lam)
-    if sum(nu) != n or sum(mu) != n:
-        raise SizeMismatchError(f"labels must partition the same n: {lam}, {nu}, {mu}")
-    character_table(n, cache=cache, cap=cap)
-    return _inner_product(lam, nu, mu)
+    character_table(label_size(lam, nu, mu), cache=cache, cap=cap)
+    return _inner_product(tuple(lam), tuple(nu), tuple(mu))
 
 
 @lru_cache(maxsize=64)
@@ -262,9 +263,8 @@ def _inner_product(lam: Partition, nu: Partition, mu: Partition) -> int:
 
 
 def dimension(lam: Partition, *, cap: int = DEFAULT_CAP) -> int:
-    if not lam:
-        return 1
-    return character_table(sum(lam), cap=cap).dimension(lam)
+    lam = partition(lam)
+    return character_table(sum(lam), cap=cap).dimension(lam) if lam else 1
 
 
 def exterior_multiplicity(
@@ -282,15 +282,11 @@ def exterior_multiplicity(
     the boundary degrees), so the answer is a sum of at most two tensor
     multiplicities.
     """
-    n = sum(lam)
-    if sum(mu) != n:
-        raise SizeMismatchError(f"labels must partition the same n: {lam}, {mu}")
-    if not 0 <= m <= n:
-        raise RangeError(f"need 0 <= m <= n, got m={m}, n={n}")
+    n = label_size(lam, mu, m=m, exterior=True)
     if m == 0:
-        return int(lam == mu)
+        return int(partition(lam) == partition(mu))
     if m == n:
-        return int(mu == conjugate(lam))
+        return int(partition(mu) == conjugate(partition(lam)))
     upper = kronecker(lam, hook_partition(n, m - 1), mu, cache=cache, cap=cap)
     lower = kronecker(lam, hook_partition(n, m), mu, cache=cache, cap=cap)
     return upper + lower

@@ -16,7 +16,7 @@ from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError
 from .shapes import (
     Cell,
     SkewShape,
-    _json_ints,
+    _ints,
     _shape_table,
     add_cell,
     format_cell,
@@ -272,9 +272,9 @@ def picture_to_json(p: Picture) -> dict:
 
 
 def picture_from_json(obj: dict) -> Picture:
-    source = skew(_json_ints(obj["source"]["outer"]), _json_ints(obj["source"]["inner"]))
-    target = skew(_json_ints(obj["target"]["outer"]), _json_ints(obj["target"]["inner"]))
-    mapping = {(r, c): (r2, c2) for r, c, r2, c2 in map(_json_ints, obj["map"])}
+    source = skew(_ints(obj["source"]["outer"]), _ints(obj["source"]["inner"]))
+    target = skew(_ints(obj["target"]["outer"]), _ints(obj["target"]["inner"]))
+    mapping = {(r, c): (r2, c2) for r, c, r2, c2 in map(_ints, obj["map"])}
     return Picture(source, target, mapping)
 
 

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import NotContainedError
+from .errors import NotContainedError, RangeError, SizeMismatchError
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Canonical partition from ``parts``: trailing zeros stripped, order checked."""
-    p = tuple(int(x) for x in parts)
+    """Canonical partition from ``parts``: trailing zeros stripped, order checked,
+    and a part that is not an ``int`` (``True`` included) refused, never coerced."""
+    p = _ints(parts, "an integer part")
     while p and p[-1] == 0:
         p = p[:-1]
     prev = None
@@ -34,12 +35,36 @@ def partition(parts: Iterable[int]) -> Partition:
     return p
 
 
+def label_size(*labels: Iterable[int], m: int | None = None, exterior: bool = False) -> int:
+    """The n that every label partitions and, when ``m`` is given, the leg rule:
+    0 <= m < n for a hook, 0 <= m <= n for an exterior power.  Only sums are
+    read, so both rules are checked before any label's form."""
+    n = sum(labels[0])
+    for p in labels[1:]:
+        if sum(p) != n:
+            raise SizeMismatchError(
+                f"labels must partition the same n: {', '.join(map(str, labels))}"
+            )
+    if type(n) is not int:
+        partition(labels[0])  # some part is not an int, and the form rule names it
+    if m is not None and not (0 <= m <= n if exterior else 0 <= m < n):
+        raise RangeError(f"need 0 <= m {'<=' if exterior else '<'} n, got m={m}, n={n}")
+    return n
+
+
+def canonical_labels(
+    *labels: Iterable[int], m: int | None = None, exterior: bool = False
+) -> tuple[Partition, ...]:
+    """The rules of :func:`label_size`, then each label's canonical form: the one
+    check at a public entry point; the paths behind it check nothing again."""
+    label_size(*labels, m=m, exterior=exterior)
+    return tuple(map(partition, labels))
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts; "" and "0" both denote the empty partition."""
     text = text.strip()
-    if text in ("", "0"):
-        return ()
-    return partition(int(piece) for piece in text.split(","))
+    return partition(int(piece) for piece in text.split(",")) if text else ()
 
 
 def format_partition(p: Partition) -> str:
@@ -47,20 +72,23 @@ def format_partition(p: Partition) -> str:
 
 
 def parse_cell(text: str) -> Cell:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    row, col = (int(piece) for piece in text.split(","))
+    inner = text.strip()
+    if inner.startswith("(") and inner.endswith(")"):
+        inner = inner[1:-1]
+    try:
+        row, col = map(int, inner.split(","))
+    except ValueError:
+        raise ValueError(f"cell must be two comma-separated integers r,c, got {text!r}") from None
     return (row, col)
 
 
-def _json_ints(values: Iterable) -> tuple[int, ...]:
-    """``values`` as a tuple, refusing any JSON value but an integer (``true``
-    included), so that no input is truncated or coerced on its way in."""
+def _ints(values: Iterable, what: str = "a JSON integer") -> tuple[int, ...]:
+    """``values`` as a tuple, refusing any value but an ``int`` (``True``
+    included) as ``what``, so that no input is truncated or coerced on its way in."""
     out = tuple(values)
     for x in out:
         if type(x) is not int:
-            raise ValueError(f"expected a JSON integer, got {x!r:.40}")
+            raise ValueError(f"expected {what}, got {x!r:.40}")
     return out
 
 
@@ -292,6 +320,5 @@ def partitions_inside(bound: Partition, k: int) -> tuple[Partition, ...]:
 @lru_cache(maxsize=None)
 def hook_partition(n: int, m: int) -> Partition:
     """The hook with arm ``n - m`` and leg ``m``."""
-    if not 0 <= m < n:
-        raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
+    label_size((n,), m=m)  # the leg rule for degree n
     return partition((n - m,) + (1,) * m)

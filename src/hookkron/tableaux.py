@@ -24,7 +24,7 @@ from .errors import (
 from .shapes import (
     Cell,
     SkewShape,
-    _json_ints,
+    _ints,
     _shape_table,
     add_cell,
     format_cell,
@@ -42,7 +42,7 @@ class PartialTableau:
     __slots__ = ("shape", "_entries")
 
     def __init__(self, shape: SkewShape, entries: Mapping[Cell, int]):
-        entries = {cell: int(v) for cell, v in entries.items()}
+        entries = dict(zip(entries, _ints(entries.values(), "an integer entry")))
         _validate(shape, entries)
         self.shape = shape
         self._entries = entries
@@ -255,8 +255,8 @@ def tableau_to_json(t: PartialTableau) -> dict:
 
 
 def tableau_from_json(obj: dict) -> PartialTableau:
-    shape = skew(_json_ints(obj["outer"]), _json_ints(obj["inner"]))
-    entries = {(r, c): v for r, c, v in map(_json_ints, obj["entries"])}
+    shape = skew(_ints(obj["outer"]), _ints(obj["inner"]))
+    entries = {(r, c): v for r, c, v in map(_ints, obj["entries"])}
     return PartialTableau(shape, entries)
 
 

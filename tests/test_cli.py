@@ -156,6 +156,13 @@ class TestPictures:
         assert plain[0] == 0 and '"bump"' in plain[1]
         assert run_cli(capsys, *argv, "--bump", "(1,1)") == plain
 
+    @pytest.mark.parametrize("bump", ["1", "1,2,3"])
+    def test_bump_cell_needs_two_coordinates(self, capsys, bump):
+        argv = ["pictures", "--lambda", "2,1", "--mu", "2,1", "--zeta", "1", "--bump", bump]
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: cell must be two comma-separated integers r,c, got '{bump}'\n"
+        )
+
     def test_invalid_bump_cell_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -461,6 +468,21 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_runs_without_site_packages(self):
+        # -I -S: no site-packages, no user site, no PYTHONPATH; only the
+        # standard library and this checkout's src are importable
+        src = str(Path(hookkron.__file__).parents[1])
+        child = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from hookkron import cli; "
+            "sys.exit(cli.main(['verify', '--n', '4']))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", child, src], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "checks: 350, all pass\n", ""
+        )
 
     def test_console_entry_point(self):
         # the child imports the same hookkron as this process, installed or not

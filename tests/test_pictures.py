@@ -115,6 +115,19 @@ class TestPictureValidation:
                     checked += 1
         assert checked == 14125
 
+    def test_inverse_undoes_the_map(self):
+        shapes = util.small_skew_shapes(max_outer=5, max_cells=5)
+        pictures = 0
+        for source in shapes:
+            for target in shapes:
+                if source.size != target.size:
+                    continue
+                for p in enumerate_pictures(source, target):
+                    assert all(p.inverse(p[x]) == x for x in source.cells())
+                    assert all(p[p.inverse(y)] == y for y in target.cells())
+                    pictures += 1
+        assert pictures == 1953
+
 
 class TestRemmelWhitneyCorrespondence:
     def test_worked_example_tableau_is_rw(self, example_tableau, example_reading):

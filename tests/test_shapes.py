@@ -3,14 +3,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import util
-from hookkron.errors import NotContainedError
-from hookkron.oracle import _is_partition_count
+from hookkron.errors import NotContainedError, RangeError, SizeMismatchError
+from hookkron.hook_rule import (
+    TypedPicture,
+    decompose_tensor_exterior,
+    decompose_tensor_hook,
+    hook_hook_multiplicity,
+    multiplicity_exterior,
+    multiplicity_hook,
+    picture_counts,
+    pw_m_set,
+    pw_set,
+)
+from hookkron.lr import exterior_multiplicity_via_lr
+from hookkron.oracle import _is_partition_count, dimension, exterior_multiplicity, kronecker
 from hookkron.shapes import (
     SkewShape,
     conjugate,
     contains,
     corners,
     format_partition,
+    hook_partition,
     icc_bar,
     inner_cocorners,
     inner_corners,
@@ -220,3 +233,99 @@ class TestCornerSets:
             for w in inner_corners(s):
                 assert w in cocorners(s.inner)
                 assert w in s
+
+
+# Every public function that takes partition labels, called on labels that all
+# read as (2, 1), with its arity; the calls run every leg, so the m = 0 and
+# m = n branches too.
+LABEL_TAKERS = {
+    "pw_set": (2, lambda lam, mu: pw_set(lam, mu, (1,))),
+    "pw_m_set": (2, lambda lam, mu: [pw_m_set(lam, mu, m) for m in range(4)]),
+    "multiplicity_hook": (2, lambda lam, mu: [multiplicity_hook(lam, mu, m) for m in range(3)]),
+    "multiplicity_exterior": (
+        2, lambda lam, mu: [multiplicity_exterior(lam, mu, m) for m in range(4)]
+    ),
+    "picture_counts": (2, picture_counts),
+    "decompose_tensor_hook": (
+        1, lambda lam: [decompose_tensor_hook(lam, m).to_json() for m in range(3)]
+    ),
+    "decompose_tensor_exterior": (
+        1, lambda lam: [decompose_tensor_exterior(lam, m).to_json() for m in range(4)]
+    ),
+    "TypedPicture": (
+        2, lambda lam, mu: TypedPicture(lam, mu, (1,), pw_set((2, 1), (2, 1), (1,))[0].picture)
+    ),
+    "exterior_multiplicity_via_lr": (
+        2, lambda lam, mu: [exterior_multiplicity_via_lr(lam, mu, m) for m in range(4)]
+    ),
+    "kronecker": (3, kronecker),
+    "exterior_multiplicity": (
+        2, lambda lam, mu: [exterior_multiplicity(lam, mu, m) for m in range(4)]
+    ),
+    "dimension": (1, dimension),
+}
+SPELLINGS = {
+    "list": [2, 1],
+    "zero-padded": (2, 1, 0),
+    "not-a-partition": (1, 2),
+    "size-mismatch": (2, 1, 1),
+    "float-part": (1.5, 1.5),
+}
+
+
+class TestInputRules:
+    @pytest.mark.parametrize(
+        "name, position, spelling",
+        [
+            pytest.param(name, position, spelling, id=f"{name}-label{position + 1}-{spelling}")
+            for name, (arity, _) in LABEL_TAKERS.items()
+            for position in range(arity)
+            for spelling in SPELLINGS
+            if arity > 1 or spelling != "size-mismatch"
+        ],
+    )
+    def test_every_label_taking_function(self, name, position, spelling):
+        arity, call = LABEL_TAKERS[name]
+        canonical = [(2, 1)] * arity
+        labels = list(canonical)
+        labels[position] = SPELLINGS[spelling]
+        if spelling == "size-mismatch":
+            with pytest.raises(SizeMismatchError, match="labels must partition the same n"):
+                call(*labels)
+        elif spelling in ("not-a-partition", "float-part"):
+            with pytest.raises(ValueError):
+                call(*labels)
+        elif name == "TypedPicture":
+            # it checks sizes only, then compares its labels with the picture's shapes
+            with pytest.raises(ValueError, match="shape"):
+                call(*labels)
+        else:
+            assert call(*labels) == call(*canonical)
+
+    @pytest.mark.parametrize("parts", [["3", 1.5], (2, True), (2.0, 1), (2, 1, 0.0)])
+    def test_parts_that_are_not_ints_are_refused(self, parts):
+        with pytest.raises(ValueError, match="expected an integer part"):
+            partition(parts)
+        with pytest.raises(ValueError, match="expected an integer part"):
+            skew(parts, ())
+
+    def test_sizes_are_compared_before_form(self):
+        with pytest.raises(SizeMismatchError):
+            pw_set((1, 2), (1.5, 1.5, 1), (1,))
+        with pytest.raises(SizeMismatchError):
+            kronecker((2, 1), (1, 2), [1.5, 1.5, 1])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hook_partition(3, 3),
+            lambda: hook_partition(3, -1),
+            lambda: hook_hook_multiplicity(0, 1, 4, 4),
+            lambda: decompose_tensor_hook((2, 1), 3),
+            lambda: exterior_multiplicity((2, 1), (2, 1), 4),
+        ],
+        ids=["hook_partition", "hook_partition-negative", "hook_hook", "decompose", "exterior"],
+    )
+    def test_leg_rule_raises_range_error(self, call):
+        with pytest.raises(RangeError, match="need 0 <= m"):
+            call()

@@ -86,6 +86,11 @@ class TestValidation:
             PartialTableau(skew(outer, ()), entries)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("bad", [1.9, "5", True, 2.0])
+    def test_refuses_entries_that_are_not_ints(self, bad):
+        with pytest.raises(ValueError, match="expected an integer entry"):
+            PartialTableau(skew((2,), ()), {(1, 1): bad, (1, 2): 7})
+
     def test_arbitrary_distinct_values_allowed(self):
         t = PartialTableau(skew((2,), ()), {(1, 1): 7, (1, 2): 19})
         assert t.image() == frozenset({7, 19})
