@@ -30,31 +30,27 @@ from .tableaux import render_tableau, tableau_from_json
 from .verify import verify_range
 
 
-def _print_table(table: DecompositionTable, fmt: str, with_hook: bool) -> None:
+def _print_table(table: DecompositionTable, fmt: str) -> None:
+    """Every format prints the rows of ``table.to_json()``, whose count keys
+    (``ph`` only in a hook table) are the columns; a table is never empty."""
+    obj = table.to_json()
     if fmt == "json":
-        print(json.dumps(table.to_json(), separators=(",", ":")))
+        print(json.dumps(obj, separators=(",", ":")))
         return
     if fmt == "tsv":
-        columns = ["mu", "ph", "pw", "by_zeta"] if with_hook else ["mu", "pw", "by_zeta"]
-        print("\t".join(columns))
-        for row in table.rows:
-            blob = json.dumps([zc.to_json() for zc in row.by_zeta], separators=(",", ":"))
-            fields = [format_partition(row.mu)]
-            if with_hook:
-                fields.append(str(row.ph))
-            fields.extend([str(row.pw), blob])
-            print("\t".join(fields))
-        return
-    for row in table.rows:
-        if with_hook:
-            print(f"{format_partition(row.mu)} -> ph={row.ph} pw={row.pw}")
+        print("\t".join(obj["rows"][0]))
+    for row in obj["rows"]:
+        (_, mu), *counts, (_, by_zeta) = row.items()
+        if fmt == "tsv":
+            blob = json.dumps(by_zeta, separators=(",", ":"))
+            print("\t".join([format_partition(mu), *(str(v) for _, v in counts), blob]))
         else:
-            print(f"{format_partition(row.mu)} -> pw={row.pw}")
+            print(f"{format_partition(mu)} -> " + " ".join(f"{k}={v}" for k, v in counts))
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     table = args.decompose(parse_partition(args.lam), args.m, jobs=args.jobs)
-    _print_table(table, args.format, with_hook=args.with_hook)
+    _print_table(table, args.format)
     return 0
 
 
@@ -143,17 +139,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, decompose, with_hook, help_text in (
-        ("decompose", decompose_tensor_hook, True, "decompose lambda tensor the hook of leg m"),
-        ("exterior", decompose_tensor_exterior, False,
-         "decompose lambda tensor the m-th exterior power"),
+    for name, decompose, help_text in (
+        ("decompose", decompose_tensor_hook, "decompose lambda tensor the hook of leg m"),
+        ("exterior", decompose_tensor_exterior, "decompose lambda tensor the m-th exterior power"),
     ):
         table = sub.add_parser(name, help=help_text)
         table.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
         table.add_argument("--m", type=int, required=True)
         table.add_argument("--format", choices=("json", "tsv", "ascii"), default="ascii")
         table.add_argument("--jobs", type=worker_count, default=1)
-        table.set_defaults(func=cmd_table, decompose=decompose, with_hook=with_hook)
+        table.set_defaults(func=cmd_table, decompose=decompose)
 
     pictures = sub.add_parser("pictures", help="enumerate pictures of one overlap")
     pictures.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")

@@ -19,7 +19,7 @@ from math import factorial
 from pathlib import Path
 
 from .errors import RangeError, TooLargeError
-from .shapes import Partition, conjugate, hook_partition, label_size, partition, partitions
+from .shapes import Partition, _ints, conjugate, hook_partition, label_size, partition, partitions
 
 DEFAULT_CAP = 9
 CACHE_FORMAT_VERSION = 1
@@ -39,9 +39,7 @@ def _strip_removals(lam: Partition, k: int):
         if nb < 0 or nb in present:
             continue
         height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
+        new_beta = sorted([c for c in beta if c != b] + [nb], reverse=True)
         new_lam = tuple(
             c - (length - 1 - i) for i, c in enumerate(new_beta)
         )
@@ -133,13 +131,13 @@ def _is_partition_count(n: int, count: int) -> bool:
 
 
 def _table_from_json(obj: dict) -> CharacterTable:
-    n = int(obj["n"])
+    (n,) = _ints((obj["n"],))
     if not _is_partition_count(n, len(obj["classes"])):  # cheap, unlike partitions(huge n)
         raise ValueError(f"cached table for n={n} lists the wrong number of classes")
     parts = tuple(partition(p) for p in obj["classes"])
     if parts != partitions(n):
         raise ValueError(f"cached table for n={n} lists classes in a foreign order")
-    rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
+    rows = tuple(map(_ints, obj["rows"]))
     sizes = tuple(cycle_type_class_size(mu, n) for mu in parts)
     return CharacterTable(n, parts, rows, sizes)
 

@@ -37,8 +37,9 @@ def partition(parts: Iterable[int]) -> Partition:
 
 def label_size(*labels: Iterable[int], m: int | None = None, exterior: bool = False) -> int:
     """The n that every label partitions and, when ``m`` is given, the leg rule:
-    0 <= m < n for a hook, 0 <= m <= n for an exterior power.  Only sums are
-    read, so both rules are checked before any label's form."""
+    an ``int`` (``True`` refused) with 0 <= m < n for a hook, 0 <= m <= n for an
+    exterior power.  Only sums are read, so both rules are checked before any
+    label's form."""
     n = sum(labels[0])
     for p in labels[1:]:
         if sum(p) != n:
@@ -47,8 +48,10 @@ def label_size(*labels: Iterable[int], m: int | None = None, exterior: bool = Fa
             )
     if type(n) is not int:
         partition(labels[0])  # some part is not an int, and the form rule names it
-    if m is not None and not (0 <= m <= n if exterior else 0 <= m < n):
-        raise RangeError(f"need 0 <= m {'<=' if exterior else '<'} n, got m={m}, n={n}")
+    if m is not None:
+        _ints((m,), "an integer leg m")  # True and 1.0 would pass the range check as 1
+        if not (0 <= m <= n if exterior else 0 <= m < n):
+            raise RangeError(f"need 0 <= m {'<=' if exterior else '<'} n, got m={m}, n={n}")
     return n
 
 
@@ -136,7 +139,7 @@ def sw_key(c: Cell) -> tuple[int, int]:
 
 
 def corners(p: Partition) -> list[Cell]:
-    """Cells whose removal leaves a partition diagram."""
+    """Cells whose removal leaves a partition diagram, one per row, top row first."""
     last = len(p)
     return [
         (i, p[i - 1])
@@ -146,7 +149,7 @@ def corners(p: Partition) -> list[Cell]:
 
 
 def cocorners(p: Partition) -> list[Cell]:
-    """Cells outside the diagram whose addition leaves a partition diagram."""
+    """Cells outside the diagram whose addition leaves a partition diagram, top row first."""
     out = [
         (i, p[i - 1] + 1)
         for i in range(1, len(p) + 1)
@@ -259,7 +262,7 @@ def transpose_shape(s: SkewShape) -> SkewShape:
 
 def inner_corners(s: SkewShape) -> list[Cell]:
     """Cells of the diagram that are cocorners of the inner partition."""
-    return sorted((w for w in cocorners(s.inner) if w in s), key=sw_key)
+    return [w for w in reversed(cocorners(s.inner)) if w in s]
 
 
 def inner_cocorners(s: SkewShape) -> list[Cell]:
@@ -269,22 +272,16 @@ def inner_cocorners(s: SkewShape) -> list[Cell]:
 
 @lru_cache(maxsize=None)
 def _sorted_corners(p: Partition) -> tuple[Cell, ...]:
-    return tuple(sorted(corners(p), key=sw_key))
-
-
-def extreme_cocorners(s: SkewShape) -> list[Cell]:
-    out: list[Cell] = []
-    last = s.length
-    if last and (last, 1) in s:
-        out.append((last, 0))
-    if s.outer and (1, s.outer[0]) in s:
-        out.append((0, s.outer[0]))
-    return out
+    return tuple(reversed(corners(p)))
 
 
 def icc_bar(s: SkewShape) -> list[Cell]:
-    """Inner cocorners together with the extreme cocorners, in southwest order."""
-    return sorted(corners(s.inner) + extreme_cocorners(s), key=sw_key)
+    """Inner cocorners in southwest order, after ``(length, 0)`` and before
+    ``(0, outer[0])`` when those extreme cocorners border the diagram."""
+    last = s.length
+    head = [(last, 0)] if last and (last, 1) in s else []
+    tail = [(0, s.outer[0])] if s.outer and (1, s.outer[0]) in s else []
+    return head + inner_cocorners(s) + tail
 
 
 def partitions(n: int) -> tuple[Partition, ...]:
@@ -317,7 +314,7 @@ def partitions_inside(bound: Partition, k: int) -> tuple[Partition, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so a leg of True misses the entry for 1
 def hook_partition(n: int, m: int) -> Partition:
     """The hook with arm ``n - m`` and leg ``m``."""
     label_size((n,), m=m)  # the leg rule for degree n

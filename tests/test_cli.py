@@ -59,15 +59,39 @@ class TestDecompose:
         obj = json.loads(outputs[0])
         assert obj["lambda"] == [4, 2] and obj["m"] == 3
 
-    def test_staircase_json_is_byte_identical(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "decompose --lambda 5,4,3,2,1 --m 7 --format json",
+                "b8a4922ca106523801f4a8c8171183bac62f212ed02900b4ef3f871fc8c54623",
+            ),
+            (
+                "decompose --lambda 4,3,2,1 --m 4 --format ascii",
+                "507abd3b03e4578645e94815c046178a4d8c1424f2fea52d975109cff1c9f4be",
+            ),
+            (
+                "decompose --lambda 4,3,2,1 --m 4 --format tsv",
+                "88891d2268a23a8a2193a580fdecc1ea76c91a6649788b8e775d322274e6be4b",
+            ),
+            (
+                "exterior --lambda 4,3,2,1 --m 5 --format ascii",
+                "46aa63837a68df0711603f999683da7f7641af42508fdd006be1d3e2c81bf940",
+            ),
+            (
+                "exterior --lambda 4,3,2,1 --m 5 --format tsv",
+                "5fa807d8ff88a9e8ea199554d25316cb015bad2cc3fbbda356fc00a0d1df6e9d",
+            ),
+        ],
+        ids=[
+            "decompose-json", "decompose-ascii", "decompose-tsv", "exterior-ascii", "exterior-tsv"
+        ],
+    )
+    def test_staircase_json_is_byte_identical(self, capsys, argv, digest):
         # digest of the stdout as released; a speed change must not move a byte
-        code, out, _ = run_cli(
-            capsys, "decompose", "--lambda", "5,4,3,2,1", "--m", "7", "--format", "json"
-        )
+        code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b8a4922ca106523801f4a8c8171183bac62f212ed02900b4ef3f871fc8c54623"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_tsv(self, capsys):
         code, out, _ = run_cli(
@@ -101,6 +125,23 @@ class TestExterior:
         code, out, _ = run_cli(capsys, "exterior", "--lambda", "2,1", "--m", "3")
         assert code == 0
         assert out.splitlines() == ["2,1 -> pw=1"]
+
+    def test_tsv_has_no_ph_column(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "exterior", "--lambda", "5,3,1,1", "--m", "6", "--format", "tsv"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "mu\tpw\tby_zeta"
+        row = next(line for line in lines if line.startswith("4,3,3\t"))
+        fields = row.split("\t")
+        assert fields[1] == "7"
+        assert {"zeta": [3, 1], "pw": 3} in json.loads(fields[2])
+
+    def test_empty_lambda_prints_one_row(self, capsys):
+        code, out, _ = run_cli(capsys, "exterior", "--lambda", "0", "--m", "0", "--format", "tsv")
+        assert code == 0
+        assert out.splitlines() == ["mu\tpw\tby_zeta", '0\t1\t[{"zeta":[],"pw":1}]']
 
 
 class TestPictures:

@@ -197,6 +197,30 @@ class TestCacheFile:
         assert err.count("\n") == 1 and "table 2 is damaged" in err
         assert path.read_bytes() == clean.read_bytes()
 
+    @pytest.mark.parametrize("spelling", ["string-n", "true-value", "float-value"])
+    def test_number_that_is_not_a_json_integer_damages_the_table(
+        self, tmp_path, capsys, spelling
+    ):
+        # int() would read each spelling as the clean table and rewrite it without a word
+        clean = tmp_path / "clean.json"
+        character_table(3, cache=clean)
+        data = json.loads(clean.read_text())
+        table = data["tables"][0]
+        if spelling == "string-n":
+            table["n"] = "3"
+        elif spelling == "true-value":
+            assert table["rows"][0][0] == 1
+            table["rows"][0][0] = True
+        else:
+            assert table["rows"][1][1] == 0
+            table["rows"][1][1] = 0.0
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(data))
+        character_table(3, cache=path)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "table 1 is damaged" in err
+        assert path.read_bytes() == clean.read_bytes()
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "tables.json"
         path.write_text(json.dumps({"version": 99, "tables": []}))

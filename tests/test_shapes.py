@@ -224,6 +224,9 @@ class TestCornerSets:
             assert first == sorted(corners(s.inner), key=sw_key)
             first.append((0, 0))
             assert inner_cocorners(s) == sorted(corners(s.inner), key=sw_key)
+            # the other two lists are built in southwest order too, not sorted into it
+            assert inner_corners(s) == sorted(inner_corners(s), key=sw_key)
+            assert icc_bar(s) == sorted(icc_bar(s), key=sw_key)
 
     def test_inner_corner_characterisation(self):
         from hookkron.shapes import cocorners, corners
@@ -264,6 +267,18 @@ LABEL_TAKERS = {
     ),
     "dimension": (1, dimension),
 }
+# Every public function that takes a leg m, called on that leg with labels of n = 3.
+LEG_TAKERS = {
+    "pw_m_set": lambda m: pw_m_set((2, 1), (2, 1), m),
+    "multiplicity_hook": lambda m: multiplicity_hook((2, 1), (2, 1), m),
+    "multiplicity_exterior": lambda m: multiplicity_exterior((2, 1), (2, 1), m),
+    "decompose_tensor_hook": lambda m: decompose_tensor_hook((2, 1), m),
+    "decompose_tensor_exterior": lambda m: decompose_tensor_exterior((2, 1), m),
+    "exterior_multiplicity_via_lr": lambda m: exterior_multiplicity_via_lr((2, 1), (2, 1), m),
+    "exterior_multiplicity": lambda m: exterior_multiplicity((2, 1), (2, 1), m),
+    "hook_partition": lambda m: hook_partition(3, m),
+    "hook_hook_multiplicity": lambda m: hook_hook_multiplicity(0, 1, m, 3),
+}
 SPELLINGS = {
     "list": [2, 1],
     "zero-padded": (2, 1, 0),
@@ -301,6 +316,20 @@ class TestInputRules:
                 call(*labels)
         else:
             assert call(*labels) == call(*canonical)
+
+    @pytest.mark.parametrize(
+        "name, leg",
+        [
+            pytest.param(name, leg, id=f"{name}-{leg!r}")
+            for name in LEG_TAKERS
+            for leg in (True, 1.5)
+        ],
+    )
+    def test_every_leg_taking_function_refuses_a_leg_that_is_not_an_int(self, name, leg):
+        # True and 1.5 would pass the range check, as 1 and as a number in [0, n]
+        hook_partition(3, 1)  # so a cache keyed on value alone would answer True
+        with pytest.raises(ValueError, match=f"expected an integer leg m, got {leg!r}"):
+            LEG_TAKERS[name](leg)
 
     @pytest.mark.parametrize("parts", [["3", 1.5], (2, True), (2.0, 1), (2, 1, 0.0)])
     def test_parts_that_are_not_ints_are_refused(self, parts):
