@@ -90,15 +90,20 @@ def _validate_picture(
     # sizes first: a shape can name far more cells than any input could fill
     if len(mapping) != source.size or mapping.keys() != (src := _shape_table(source))[0]:
         raise ValueError("mapping keys must be exactly the source cells")
-    inv: dict[Cell, Cell] = {}
-    for x, y in mapping.items():
-        if y in inv:
-            raise ValueError(f"mapping is not injective at {format_cell(y)}")
-        inv[y] = x
+    inv = {y: x for x, y in mapping.items()}
+    if len(inv) < len(mapping):
+        seen: set[Cell] = set()  # add() returns None, so only a repeat is kept
+        y = next(y for y in mapping.values() if y in seen or seen.add(y))
+        raise ValueError(f"mapping is not injective at {format_cell(y)}")
     if len(inv) != target.size or inv.keys() != (tgt := _shape_table(target))[0]:
         raise ValueError("mapping values must be exactly the target cells")
     for forward, pairs, what in ((mapping, src[1], "not"), (inv, tgt[1], "inverse not")):
-        bad = [(a, b) for a, b in pairs if not leq_sw(forward[a], forward[b])]
+        bad = [
+            (a, b)
+            for a, b in pairs
+            for (r, c), (r2, c2) in [(forward[a], forward[b])]
+            if r < r2 or c > c2  # not leq_sw(forward[a], forward[b]), written out
+        ]
         if bad:
             # name the first failing pair in the mapping's own order, right neighbour first
             rank = {cell: k for k, cell in enumerate(forward)}
@@ -230,7 +235,7 @@ def picture_insert(p: Picture, z: Cell) -> Picture:
     if 0 in z:
         raise NotAddableError(f"{format_cell(z)} is not addable: the cocorner is extreme")
     new_source, mapping = carry_out_insert(p.source, p._map, route, format_cell(z))
-    new_target = skew(p.target.outer, remove_cell(p.target.inner, z))
+    new_target = SkewShape(p.target.outer, remove_cell(p.target.inner, z))
     return Picture(new_source, new_target, mapping)
 
 
@@ -242,7 +247,7 @@ def picture_delete(p: Picture, v: Cell) -> tuple[Picture, Cell]:
     map, whose images increase along each source row in the southwest order.
     """
     new_source, mapping, w = carry_out_delete(p.source, p._map, v, lt_sw)
-    new_target = skew(p.target.outer, add_cell(p.target.inner, w))
+    new_target = SkewShape(p.target.outer, add_cell(p.target.inner, w))
     return Picture(new_source, new_target, mapping), w
 
 

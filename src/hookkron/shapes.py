@@ -160,19 +160,20 @@ def cocorners(p: Partition) -> list[Cell]:
 
 
 def remove_cell(p: Partition, c: Cell) -> Partition:
-    if c not in corners(p):
+    """``p`` without corner ``c``: the cell ending row i, above a shorter row."""
+    i, j = c
+    if not (0 < i <= len(p) and p[i - 1] == j and (i == len(p) or p[i] < j)):
         raise ValueError(f"{format_cell(c)} is not a corner of {p}")
-    parts = list(p)
-    parts[c[0] - 1] -= 1
-    return partition(parts)
+    return p[:-1] if j == 1 else p[: i - 1] + (j - 1,) + p[i:]
 
 
 def add_cell(p: Partition, c: Cell) -> Partition:
-    if c not in cocorners(p):
+    """``p`` with cocorner ``c``: the cell after row i (or a new last row), below a longer row."""
+    i, j = c
+    row = p[i - 1] if 0 < i <= len(p) else 0
+    if not (0 < i <= len(p) + 1 and j == row + 1 and (i == 1 or p[i - 2] >= j)):
         raise ValueError(f"{format_cell(c)} is not a cocorner of {p}")
-    parts = list(p) + [0] * (c[0] - len(p))
-    parts[c[0] - 1] += 1
-    return partition(parts)
+    return p[: i - 1] + (j,) + p[i:]
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,10 @@ def transpose_shape(s: SkewShape) -> SkewShape:
 
 def inner_corners(s: SkewShape) -> list[Cell]:
     """Cells of the diagram that are cocorners of the inner partition."""
-    return [w for w in reversed(cocorners(s.inner)) if w in s]
+    outer = s.outer
+    return [
+        (i, j) for i, j in reversed(cocorners(s.inner)) if i <= len(outer) and j <= outer[i - 1]
+    ]
 
 
 def inner_cocorners(s: SkewShape) -> list[Cell]:

@@ -11,8 +11,7 @@ stops at the first row it cannot enter, vacating a cell on the inner boundary
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import (
     DuplicateValueError,
@@ -109,8 +108,7 @@ def row_reading(shape: SkewShape) -> dict[Cell, int]:
     return {cell: k + 1 for k, cell in enumerate(shape.cells())}
 
 
-@dataclass(frozen=True)
-class BumpRoute:
+class BumpRoute(NamedTuple):
     """One cell per visited row, bottom-up; the last cell is the destination.
 
     ``displaced[k]`` is what comes to rest in ``cells[k]`` when the insertion
@@ -188,7 +186,9 @@ def carry_out_insert(
         )
     entries = dict(entries)
     entries.update(zip(route.cells, route.displaced))
-    return skew(shape.outer, remove_cell(shape.inner, route.destination)), entries
+    # no skew() here, in carry_out_delete or in picture_insert/_delete: remove_cell/add_cell
+    # return partitions and only a diagram cell joins the inner shape, so it stays nested
+    return SkewShape(shape.outer, remove_cell(shape.inner, route.destination)), entries
 
 
 def delete(t: PartialTableau, v: Cell) -> tuple[PartialTableau, int]:
@@ -213,7 +213,7 @@ def carry_out_delete(
     moved = dict(entries)
     moved.update(zip(cells[1:], [entries[cell] for cell in cells[:-1]]))
     del moved[v]
-    return skew(shape.outer, add_cell(shape.inner, v)), moved, out
+    return SkewShape(shape.outer, add_cell(shape.inner, v)), moved, out
 
 
 def delete_route(
@@ -228,9 +228,10 @@ def delete_route(
     """
     cells = [v]
     carry = entry(v)
-    for i in range(v[0] + 1, shape.length + 1):
-        lo, hi = shape.row_bounds(i)
-        for j in range(lo + 1, hi + 1):
+    outer, inner = shape.outer, shape.inner
+    for i in range(v[0] + 1, len(outer) + 1):
+        lo = inner[i - 1] if i <= len(inner) else 0
+        for j in range(lo + 1, outer[i - 1] + 1):
             if lt(carry, entry((i, j))):
                 break
         else:

@@ -40,7 +40,9 @@ def test_every_traced_entry_point_resolves():
         assert cls is not None and method in vars(cls), f"hookkron.{module}.{cls_name}.{method}"
 
 
-def test_traced_decompose_pass_keeps_the_completeness_identities(monkeypatch):
+def traced_tiny_pass(monkeypatch, workload):
+    """Run one traced tiny pass of ``workload`` in a worker and check its
+    answers; returns the completeness identities it breaks, the trace and Σpw."""
     # run.py puts bench/ on sys.path and imports ``workloads``; keep both local
     monkeypatch.setattr(sys, "path", list(sys.path))
     workloads = load_by_path("workloads", BENCH / "workloads.py")
@@ -50,7 +52,7 @@ def test_traced_decompose_pass_keeps_the_completeness_identities(monkeypatch):
     work = ROOT / ".bench_work" / f"tests-{os.getpid()}"
     try:
         proc = subprocess.run(
-            [sys.executable, str(BENCH / "worker.py"), "decompose-large", "--tiny",
+            [sys.executable, str(BENCH / "worker.py"), workload, "--tiny",
              "--trace", "1", "--seed", "1", "--work", str(work)],
             cwd=ROOT, capture_output=True, text=True, timeout=120,
         )
@@ -59,13 +61,26 @@ def test_traced_decompose_pass_keeps_the_completeness_identities(monkeypatch):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["errors"] == []
-    ops = workloads.DecomposeLarge(1, None, True).ops
+    kind = workloads.WORKLOADS[workload]
     total_ph = total_pw = 0
-    for op, answer in zip(ops, result["answers"], strict=True):
-        failures, _, ph, pw = workloads.DecomposeLarge.check(op, answer)
+    for op, answer in zip(kind(1, None, True).ops, result["answers"], strict=True):
+        failures, _, ph, pw = kind.check(op, answer)
         assert failures == []
         total_ph += ph
         total_pw += pw
     assert total_pw > 0
-    name, wall = workloads.DecomposeLarge.name, sum(result["times"])
-    assert run.identities(name, result["trace"], wall, total_ph, total_pw) == []
+    trace = result["trace"]
+    wall = sum(result["times"])
+    return run.identities(workload, trace, wall, total_ph, total_pw), trace, total_pw
+
+
+def test_traced_decompose_pass_keeps_the_completeness_identities(monkeypatch):
+    violations, _, _ = traced_tiny_pass(monkeypatch, "decompose-large")
+    assert violations == []
+
+
+def test_traced_bijection_pass_keeps_the_completeness_identities(monkeypatch):
+    violations, trace, total_pw = traced_tiny_pass(monkeypatch, "pictures-bijection")
+    assert violations == []
+    # one validated Picture per enumerated picture, and one per E and per F step
+    assert trace["per_name"]["pictures.picture_init"]["calls"] == 3 * total_pw

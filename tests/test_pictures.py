@@ -7,6 +7,7 @@ import pytest
 
 import util
 import worked_examples as ex
+from hookkron import tableaux
 from hookkron.errors import (
     InvalidCocornerError,
     NotAddableError,
@@ -384,6 +385,39 @@ class TestPictureInsertDelete:
                 for v in removable_corners(p):
                     shrunk, out = picture_delete(p, v)
                     assert picture_insert(shrunk, out) == p
+
+    def test_new_shapes_are_canonical_and_nested(self):
+        # the four steps build their shapes without skew(), which must find nothing to fix
+        def rebuilt(*shapes):
+            return [skew(shape.outer, shape.inner) for shape in shapes]
+
+        shapes = util.small_skew_shapes(5, 5)
+        steps = 0
+        for source, target in itertools.product(shapes, repeat=2):
+            if source.size != target.size or not source.length:  # no row to bump into
+                continue
+            for p in enumerate_pictures(source, target):
+                # even entries leave an unused odd value between any two
+                rw = picture_to_rw(p, row_reading(p.target))
+                t = PartialTableau(p.source, {x: 2 * v for x, v in rw.items()})
+                for z in addable_cocorners(p):
+                    grown = picture_insert(p, z)
+                    assert [grown.source, grown.target] == rebuilt(grown.source, grown.target)
+                    steps += 1
+                for v in removable_corners(p):
+                    shrunk, _ = picture_delete(p, v)
+                    assert [shrunk.source, shrunk.target] == rebuilt(shrunk.source, shrunk.target)
+                    shrunk_t, _ = tableaux.delete(t, v)
+                    assert [shrunk_t.shape] == rebuilt(shrunk_t.shape)
+                    steps += 2
+                for a in range(1, 2 * len(p) + 2, 2):
+                    try:
+                        grown_t = tableaux.insert(t, a)
+                    except NotAddableError:
+                        continue
+                    assert [grown_t.shape] == rebuilt(grown_t.shape)
+                    steps += 1
+        assert steps > 1000
 
     def test_delete_route_equals_reading_based_deletion(self):
         from hookkron.shapes import inner_corners

@@ -19,9 +19,12 @@ from hookkron.lr import exterior_multiplicity_via_lr
 from hookkron.oracle import _is_partition_count, dimension, exterior_multiplicity, kronecker
 from hookkron.shapes import (
     SkewShape,
+    add_cell,
+    cocorners,
     conjugate,
     contains,
     corners,
+    format_cell,
     format_partition,
     hook_partition,
     icc_bar,
@@ -33,6 +36,7 @@ from hookkron.shapes import (
     partition,
     partitions,
     partitions_inside,
+    remove_cell,
     skew,
     sw_key,
     transpose_shape,
@@ -228,9 +232,32 @@ class TestCornerSets:
             assert inner_corners(s) == sorted(inner_corners(s), key=sw_key)
             assert icc_bar(s) == sorted(icc_bar(s), key=sw_key)
 
-    def test_inner_corner_characterisation(self):
-        from hookkron.shapes import cocorners, corners
+    def test_constant_time_corner_tests_match_the_list_based_ones(self):
+        def listed(p, c, cells, step, what):  # the membership-list rule, as reference
+            if c not in cells:
+                raise ValueError(f"{format_cell(c)} is not a {what} of {p}")
+            parts = list(p) + [0] * (c[0] - len(p))
+            parts[c[0] - 1] += step
+            return partition(parts)
 
+        def outcome(f, *args):
+            try:
+                return f(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        for p in all_partitions_upto(8):
+            # one row and one column past the diagram, and the zero row and column
+            box = [(i, j) for i in range(len(p) + 2) for j in range((p[0] if p else 0) + 2)]
+            for fast, cells, step, what in (
+                (remove_cell, corners(p), -1, "corner"),
+                (add_cell, cocorners(p), 1, "cocorner"),
+            ):
+                got = {c: outcome(fast, p, c) for c in box}
+                assert [c for c in box if not isinstance(got[c], str)] == cells
+                assert got == {c: outcome(listed, p, c, cells, step, what) for c in box}
+
+    def test_inner_corner_characterisation(self):
         for s in all_skew_shapes(8):
             assert len(inner_cocorners(s)) == len(corners(s.inner))
             for w in inner_corners(s):

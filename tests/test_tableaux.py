@@ -102,6 +102,11 @@ class TestBumpDestination:
         assert route.cells == ((4, 2), (3, 3), (2, 3))
         assert route.destination == (2, 3)
         assert route.displaced == (7, 5, 3)
+        # a read-only record, equal to the plain tuple (cells, displaced)
+        assert route == (route.cells, route.displaced)
+        for field in ("cells", "displaced", "destination"):
+            with pytest.raises(AttributeError):
+                setattr(route, field, ())
 
     def test_small_value_stops_in_bottom_row(self):
         t = PartialTableau(skew((1,), ()), {(1, 1): 5})
