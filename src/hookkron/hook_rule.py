@@ -71,7 +71,13 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
     """All pictures of type (lam, mu; zeta); empty unless zeta sits in both."""
     # canonical labels, as TypedPicture compares them
     (lam, mu), zeta = canonical_labels(lam, mu), partition(zeta)
-    if not (contains(lam, zeta) and contains(mu, zeta) and _may_have_pictures(lam, mu, zeta)):
+    return _pictures(lam, mu, zeta) if contains(lam, zeta) and contains(mu, zeta) else []
+
+
+def _pictures(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]:
+    """``pw_set``'s step for canonical labels with zeta inside lam and mu:
+    the gate, then the search; the counting loop calls it directly."""
+    if not _may_have_pictures(lam, mu, zeta):
         return []
     source = SkewShape(conjugate(mu), conjugate(zeta))
     target = SkewShape(lam, zeta)
@@ -88,12 +94,14 @@ def _may_have_pictures(lam: Partition, mu: Partition, zeta: Partition) -> bool:
     X and the columns of Y are mu'_j - zeta'_j and lam'_j - zeta'_j."""
     lam_c, mu_c, zeta_c = conjugate(lam), conjugate(mu), conjugate(zeta)
     for row_outer, col_outer, inner in ((mu_c, lam_c, zeta_c), (lam, mu, zeta)):
-        pad = inner + (0,) * (len(row_outer) + len(col_outer))  # map stops at the outer's end
-        rows = sorted(map(sub, row_outer, pad), reverse=True)
-        cols = sorted(map(sub, col_outer, pad))
-        # the k largest rows against the first k parts of cols', a running sum of #{col >= k}
+        rows = sorted(map(sub, row_outer, inner + (0,) * (len(row_outer) - len(inner))))
+        cols = sorted(map(sub, col_outer, inner + (0,) * (len(col_outer) - len(inner))))
+        # the k largest rows against the first k parts of cols', a running sum of
+        # #{col >= k}; past the first empty row total stays put and room grows
         j = total = room = 0
-        for k, r in enumerate(rows, 1):
+        for k, r in enumerate(reversed(rows), 1):
+            if not r:
+                break
             while j < len(cols) and cols[j] < k:
                 j += 1
             room += len(cols) - j
@@ -109,9 +117,9 @@ def _overlap_sets(
     """The non-empty per-overlap picture sets of leg size ``m`` (0 <= m <= n)
     for canonical labels, one at a time: the one loop over overlaps, visiting
     only the zeta of n - m inside lam and mu (no other has pictures), in the
-    fixed order; ``pw_set`` searches only those that pass ``_may_have_pictures``."""
+    fixed order; ``_pictures`` searches only those that pass ``_may_have_pictures``."""
     inside = partitions_inside(tuple(map(min, lam, mu)), sum(lam) - m)
-    return ((zeta, pics) for zeta in inside if (pics := pw_set(lam, mu, zeta)))
+    return ((zeta, pics) for zeta in inside if (pics := _pictures(lam, mu, zeta)))
 
 
 def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:

@@ -51,6 +51,14 @@ def traced_tiny_pass(monkeypatch, workload):
     # the worker names its span file relative to the checkout, so work inside it
     work = ROOT / ".bench_work" / f"tests-{os.getpid()}"
     try:
+        if workload == workloads.VerifySweep.name:
+            # as run.py does: a separate process writes the tables the sweep reads
+            work.mkdir(parents=True, exist_ok=True)
+            subprocess.run(
+                [sys.executable, str(BENCH / "worker.py"),
+                 "--prepare-cache", str(work / "chartables.json"), "--tiny"],
+                cwd=ROOT, check=True, timeout=120,
+            )
         proc = subprocess.run(
             [sys.executable, str(BENCH / "worker.py"), workload, "--tiny",
              "--trace", "1", "--seed", "1", "--work", str(work)],
@@ -84,3 +92,10 @@ def test_traced_bijection_pass_keeps_the_completeness_identities(monkeypatch):
     assert violations == []
     # one validated Picture per enumerated picture, and one per E and per F step
     assert trace["per_name"]["pictures.picture_init"]["calls"] == 3 * total_pw
+
+
+def test_traced_verify_pass_keeps_the_completeness_identities(monkeypatch):
+    violations, trace, total_pw = traced_tiny_pass(monkeypatch, "verify-sweep")
+    assert violations == []
+    # the sweep validates one Picture per picture it counts, and no other
+    assert trace["per_name"]["pictures.picture_init"]["calls"] == total_pw

@@ -14,6 +14,7 @@ from hookkron.errors import (
     NotInnerCornerError,
     NotRemmelWhitneyError,
     NotRemovableError,
+    RangeError,
 )
 from hookkron.hook_rule import decompose_tensor_hook
 from hookkron.lr import lr_coefficient
@@ -277,6 +278,14 @@ class TestPictureBumping:
     def test_invalid_cocorner(self, example_picture):
         with pytest.raises(InvalidCocornerError):
             picture_bump_destination(example_picture, (1, 1))
+
+    def test_rowless_source_is_refused(self):
+        # the target has an inner cocorner, but there is no source row to bump into
+        p = Picture(skew((), ()), skew((1,), (1,)), {})
+        with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
+            picture_bump_destination(p, (1, 1))
+        with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
+            addable_cocorners(p)
 
     def test_single_cell_matches_tableau(self):
         p = Picture(skew((2,), (1,)), skew((2,), (1,)), {(1, 2): (1, 2)})
