@@ -1,9 +1,9 @@
 """Cross-validation sweep: picture counts against the character oracle.
 
 For every ordered pair of partitions of each degree in range, the hook-side
-count must equal the tensor multiplicity computed from characters, and the
-exterior-side count must equal both the character value and the LR double
-sum.  Any mismatch is reported with its full coordinates.
+and exterior-side counts must equal the multiplicities that one
+exterior-character sweep of the oracle computes, and the exterior-side count
+also the LR double sum.  Any mismatch is reported with its full coordinates.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hook_rule, lr, oracle
-from .shapes import Partition, format_partition, hook_partition, partitions
+from .shapes import Partition, format_partition, partitions
 from .parallel import ordered_map
 
 
@@ -52,12 +52,10 @@ class VerifyReport:
 def _verify_pair(task: tuple) -> tuple[int, list[Mismatch]]:
     n, lam, mu = task
     hook_counts, exterior_counts = hook_rule.picture_counts(lam, mu)
-    checks = [
-        ("hook", m, hook_counts[m], oracle.kronecker(lam, hook_partition(n, m), mu))
-        for m in range(n)
-    ]
+    hook_oracle, exterior_oracle = oracle.hook_exterior_sweep(lam, mu)
+    checks = [("hook", m, hook_counts[m], hook_oracle[m]) for m in range(n)]
     for m, counted in enumerate(exterior_counts):
-        checks.append(("exterior", m, counted, oracle.exterior_multiplicity(lam, mu, m)))
+        checks.append(("exterior", m, counted, exterior_oracle[m]))
         checks.append(("exterior-lr", m, counted, lr.exterior_multiplicity_via_lr(lam, mu, m)))
     return len(checks), [Mismatch(n, lam, mu, m, q, c, e) for q, m, c, e in checks if c != e]
 

@@ -259,16 +259,20 @@ class TestVerify:
         assert "FAIL n=3" in out and "hook" in out
 
     @pytest.mark.parametrize(
-        "module, name, quantity",
+        "module, name, quantity, off_by_one",
         [
-            ("oracle", "exterior_multiplicity", "exterior"),
-            ("lr", "exterior_multiplicity_via_lr", "exterior-lr"),
+            # verify takes both oracle columns from the sweep; only the exterior one is bumped
+            ("oracle", "hook_exterior_sweep", "exterior", lambda r: (r[0], [x + 1 for x in r[1]])),
+            ("lr", "exterior_multiplicity_via_lr", "exterior-lr", lambda r: r + 1),
         ],
+        ids=["oracle-hook_exterior_sweep-exterior", "lr-exterior_multiplicity_via_lr-exterior-lr"],
     )
-    def test_exterior_mismatches_exit_1(self, capsys, monkeypatch, module, name, quantity):
+    def test_exterior_mismatches_exit_1(
+        self, capsys, monkeypatch, module, name, quantity, off_by_one
+    ):
         source = importlib.import_module(f"hookkron.{module}")
         true_value = getattr(source, name)
-        monkeypatch.setattr(source, name, lambda *args: true_value(*args) + 1)
+        monkeypatch.setattr(source, name, lambda *args: off_by_one(true_value(*args)))
         code, out, _ = run_cli(capsys, "verify", "--n", "3")
         *fails, summary = out.splitlines()
         assert code == 1
@@ -476,7 +480,7 @@ class TestUsage:
         def broken(*args, **kwargs):
             raise ArithmeticError("inner product is not integral")
 
-        monkeypatch.setattr(oracle, "kronecker", broken)
+        monkeypatch.setattr(oracle, "hook_exterior_sweep", broken)
         code, out, err = run_cli(capsys, "verify", "--n", "3")
         assert code == 2
         assert out == ""

@@ -16,7 +16,13 @@ from hookkron.hook_rule import (
     pw_set,
 )
 from hookkron.lr import exterior_multiplicity_via_lr
-from hookkron.oracle import _is_partition_count, dimension, exterior_multiplicity, kronecker
+from hookkron.oracle import (
+    _is_partition_count,
+    dimension,
+    exterior_multiplicity,
+    hook_exterior_sweep,
+    kronecker,
+)
 from hookkron.shapes import (
     SkewShape,
     add_cell,
@@ -292,6 +298,7 @@ LABEL_TAKERS = {
     "exterior_multiplicity": (
         2, lambda lam, mu: [exterior_multiplicity(lam, mu, m) for m in range(4)]
     ),
+    "hook_exterior_sweep": (2, hook_exterior_sweep),
     "dimension": (1, dimension),
 }
 # Every public function that takes a leg m, called on that leg with labels of n = 3.

@@ -8,7 +8,7 @@ import pytest
 
 import hookkron
 import hookkron.hook_rule as hook_rule
-from hookkron import parallel
+from hookkron import oracle, parallel
 from hookkron.verify import verify_range
 
 
@@ -39,6 +39,16 @@ class TestVerifyRange:
             for f in report.mismatches
         )
         assert "failures" in report.summary()
+
+    def test_oracle_columns_come_from_the_sweep(self, monkeypatch):
+        # the per-call oracle path must not come back beside the sweep
+        def per_call(*args, **kwargs):
+            raise AssertionError("verify called the per-call oracle")
+
+        monkeypatch.setattr(oracle, "kronecker", per_call)
+        monkeypatch.setattr(oracle, "exterior_multiplicity", per_call)
+        report = verify_range(4, 5)
+        assert report.summary() == "checks: 1183, all pass"
 
 
 def _no_pool(*args, **kwargs):
