@@ -3,11 +3,10 @@
 Everything is exact integer arithmetic: character values come from the
 border-strip recursion on beta-numbers, tensor multiplicities from the
 class-weighted triple product divided by n! with a hard zero-remainder check.
-The exterior powers Λ^m V of the permutation module take their characters
-from det(1 + qσ), and the hooks follow from Λ^m V = hook_m ⊕ hook_{m-1}.
-Tables always come from the recursion and are cached in memory per degree; a
-small JSON file can keep a copy, which is checked against the recursion once
-while it stays unchanged, and rewritten when it differs.
+Λ^m V, for the permutation module V, takes its character from det(1 + qσ), and
+hook_m = Λ^m V − hook_{m-1}.  Tables always come from the recursion and are
+cached in memory per degree; a small JSON file can keep a copy, which is
+checked against the recursion and rewritten when it differs.
 """
 
 from __future__ import annotations
@@ -16,13 +15,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import factorial
 from operator import mul
 from pathlib import Path
 
 from .errors import RangeError, TooLargeError
-from .shapes import Partition, _ints, label_size, partition, partitions
+from .shapes import Partition, _ints, conjugate, label_size, partition, partitions
 
 DEFAULT_CAP = 9
 CACHE_FORMAT_VERSION = 1
@@ -96,6 +96,18 @@ class CharacterTable:
     def dimension(self, lam: Partition) -> int:
         return self.rows[self.index(lam)][-1]
 
+    @cached_property
+    def exterior_columns(self) -> tuple[tuple[int, ...], ...]:
+        """|σ|·e_m(σ) per class σ, m = 0..n: e_m(σ), the character of Λ^m V, is the
+        q^m coefficient of det(1 + qσ), the product of 1 − (−q)^ℓ over the cycles ℓ of σ."""
+        columns = []
+        for size, cycles in zip(self.class_sizes, self.parts):
+            poly = [size]
+            for ell in cycles:
+                poly = [a - (-1) ** ell * b for a, b in zip(poly + [0] * ell, [0] * ell + poly)]
+            columns.append(poly)
+        return tuple(zip(*columns))
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -110,8 +122,6 @@ def _part_index(n: int) -> dict[Partition, int]:
 
 
 _TABLES: dict[int, CharacterTable] = {}
-# (absolute path, n) -> (st_size, st_mtime_ns) of a cache file found in step
-_IN_STEP: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
 def _compute_table(n: int) -> CharacterTable:
@@ -209,7 +219,7 @@ def character_table(
 
     With ``cache``, the file is rewritten, with a warning if its copy of the
     table differs, whenever it is not exactly the tables that parse plus the
-    computed one; it is read again only once its size or time has changed.
+    computed one.
     """
     if n < 1:
         raise RangeError(f"degree must be at least 1, got {n}")
@@ -218,8 +228,7 @@ def character_table(
     if n not in _TABLES:
         _TABLES[n] = _compute_table(n)
     table = _TABLES[n]
-    key = (os.path.abspath(cache), n) if cache is not None else None
-    if key and _IN_STEP.get(key) != _stamp(cache):
+    if cache is not None:
         on_disk = Path(cache).read_bytes() if os.path.exists(cache) else None
         stored = load_cache_file(cache) if on_disk is not None else {}
         if stored.get(n, table) != table:
@@ -227,14 +236,7 @@ def character_table(
         stored[n] = table
         if _cache_text(stored).encode() != on_disk:
             save_cache_file(cache, stored)
-        _IN_STEP[key] = _stamp(cache)
     return table
-
-
-def _stamp(path: str | Path) -> tuple[int, ...]:
-    """Size and modification time of ``path``; () while it does not exist."""
-    st = os.stat(path) if os.path.exists(path) else None
-    return (st.st_size, st.st_mtime_ns) if st else ()
 
 
 def _multiplicity(total: int, n: int, *labels) -> int:
@@ -249,31 +251,12 @@ def _multiplicity(total: int, n: int, *labels) -> int:
     return quotient
 
 
-@lru_cache(maxsize=None)
-def _exterior_columns(n: int) -> tuple[tuple[int, ...], ...]:
-    """For m = 0..n, |σ|·e_m(σ) over the classes σ of ``_TABLES[n]``, where
-    e_m(σ), the character of Λ^m V, is the q^m coefficient of det(1 + qσ):
-    the product over the cycles of σ, of length ℓ, of 1 − (−q)^ℓ."""
-    table = _TABLES[n]
-    columns = []
-    for size, cycles in zip(table.class_sizes, table.parts):
-        poly = [size]
-        for ell in cycles:
-            poly = [a - (-1) ** ell * b for a, b in zip(poly + [0] * ell, [0] * ell + poly)]
-        columns.append(poly)
-    return tuple(zip(*columns))
-
-
-def _exterior(
-    table: CharacterTable, lam: Partition, mu: Partition, ms: range | tuple[int]
-) -> list[int]:
-    """Multiplicities of ``mu`` in ``lam`` tensored with Λ^m V, for each m in ``ms``."""
-    weights = [a * b for a, b in zip(table.rows[table.index(lam)], table.rows[table.index(mu)])]
-    columns = _exterior_columns(table.n)
-    return [
-        _multiplicity(sum(map(mul, weights, columns[m])), table.n, lam, mu, f"exterior power {m}")
-        for m in ms
-    ]
+def _exterior(table: CharacterTable, lam: Partition, mu: Partition, ms: range) -> list[int]:
+    """Multiplicities of ``mu`` in ``lam`` tensored with Λ^m V, for each m in ``ms``,
+    from w_σ = χ^λ(σ)·χ^μ(σ) and the table's exterior columns."""
+    w = [a * b for a, b in zip(table.rows[table.index(lam)], table.rows[table.index(mu)])]
+    columns = table.exterior_columns
+    return [_multiplicity(sum(map(mul, w, columns[m])), table.n, lam, mu, f"Λ^{m}") for m in ms]
 
 
 def kronecker(
@@ -286,28 +269,22 @@ def kronecker(
 ) -> int:
     """Multiplicity of the ``mu`` irreducible in the tensor product of the
     ``lam`` and ``nu`` irreducibles; symmetric in all three labels."""
-    n = label_size(lam, nu, mu)
-    table = character_table(n, cache=cache, cap=cap)
+    table = character_table(label_size(lam, nu, mu), cache=cache, cap=cap)
     rows = [table.rows[table.index(p)] for p in (lam, nu, mu)]
     total = sum(size * a * b * c for size, a, b, c in zip(table.class_sizes, *rows))
-    return _multiplicity(total, n, tuple(lam), tuple(nu), tuple(mu))
+    return _multiplicity(total, table.n, tuple(lam), tuple(nu), tuple(mu))
 
 
 def hook_exterior_sweep(
     lam: Partition, mu: Partition, *, cap: int = DEFAULT_CAP
 ) -> tuple[list[int], list[int]]:
-    """Multiplicities of ``mu`` in ``lam`` tensored with each hook, m < n, and
-    with each Λ^m V, m <= n, from one pass over the classes: hook_m is Λ^m minus
-    hook_{m-1}, none may be negative, and Λ^n V, the sign, must leave nothing over."""
+    """Multiplicities of ``mu`` in ``lam`` tensored with hook_m, m < n, and with Λ^m V,
+    m <= n, in one pass over the classes; hooks may not be negative, and Λ^n V = hook_{n-1}."""
     n = label_size(lam, mu)
     exterior = _exterior(character_table(n, cap=cap), lam, mu, range(n + 1))
-    hook = [exterior[0]]
-    for m in range(1, n):
-        hook.append(exterior[m] - hook[-1])
-        if hook[-1] < 0:
-            raise ArithmeticError(f"negative multiplicity for {lam}, hook {m}, {mu}")
-    if exterior[n] != hook[-1]:
-        raise ArithmeticError(f"the sign leaves a residual for {lam}, {mu}; character bug")
+    *hook, residual = accumulate(exterior, lambda below, power: power - below)
+    if residual or min(hook) < 0:
+        raise ArithmeticError(f"hooks {hook}, residual {residual} for {lam}, {mu}; character bug")
     return hook, exterior
 
 
@@ -327,6 +304,8 @@ def exterior_multiplicity(
     """Multiplicity of the ``mu`` irreducible in ``lam`` tensored with the
     m-th exterior power of the defining permutation module, from its character."""
     n = label_size(lam, mu, m=m, exterior=True)
-    if not n:  # the empty labels; no table has degree 0
+    if m == 0:
         return int(partition(lam) == partition(mu))
-    return _exterior(character_table(n, cache=cache, cap=cap), lam, mu, (m,))[0]
+    if m == n:
+        return int(partition(mu) == conjugate(partition(lam)))
+    return _exterior(character_table(n, cache=cache, cap=cap), lam, mu, range(m, m + 1))[0]

@@ -114,6 +114,16 @@ class TestExteriorMultiplicity:
     def test_worked_example(self):
         assert exterior_multiplicity((5, 3, 1, 1), (4, 3, 3), 6, cap=10) == 7
 
+    def test_boundaries_need_no_table(self):
+        # Λ^0 V is trivial and Λ^n V the sign at any degree, the cap's too
+        lam = (6, 4, 2)
+        assert exterior_multiplicity(lam, lam, 0) == 1
+        assert exterior_multiplicity(lam, (5, 4, 3), 0) == 0
+        assert exterior_multiplicity(lam, (3, 3, 2, 2, 1, 1), 12) == 1
+        assert exterior_multiplicity(lam, lam, 12) == 0
+        with pytest.raises(TooLargeError):
+            exterior_multiplicity(lam, lam, 1)
+
     def test_range(self):
         with pytest.raises(RangeError):
             exterior_multiplicity((2, 1), (2, 1), 4)
@@ -131,13 +141,6 @@ class TestExteriorMultiplicity:
 
 
 class TestHookExteriorSweep:
-    @pytest.fixture
-    def fresh_columns(self):
-        # the per-degree exterior columns are memoised; a patched table needs new ones
-        oracle._exterior_columns.cache_clear()
-        yield
-        oracle._exterior_columns.cache_clear()
-
     def test_equals_the_per_call_oracle(self):
         for n in range(1, 8):
             for lam in partitions(n):
@@ -151,7 +154,7 @@ class TestHookExteriorSweep:
             hook_exterior_sweep((10,), (10,))
         assert hook_exterior_sweep((10,), (10,), cap=10) == ([1] + [0] * 9, [1, 1] + [0] * 9)
 
-    def test_corrupted_class_size_raises(self, monkeypatch, fresh_columns):
+    def test_corrupted_class_size_raises(self, monkeypatch):
         table = character_table(5)
         sizes = table.class_sizes[:-1] + (table.class_sizes[-1] + 1,)  # the identity class
         monkeypatch.setitem(oracle._TABLES, 5, dataclasses.replace(table, class_sizes=sizes))
@@ -162,16 +165,18 @@ class TestHookExteriorSweep:
         "perturb, message",
         [
             # the trivial character in place of the sign at m = n: every division
-            # still comes out whole, but Λ^n V no longer equals the last hook
-            (lambda c: c[:-1] + c[:1], "residual"),
-            # an empty Λ^1 V cannot hold the trivial summand hook_0, so hook_1 < 0
-            (lambda c: c[:1] + ((0,) * len(c[1]),) + c[2:], "negative multiplicity"),
+            # still comes out whole and no hook is negative, but Λ^n V no longer
+            # equals the last hook
+            (lambda c: c[:-1] + c[:1], r"hooks \[1, 0, 0, 0, 0\], residual 1 "),
+            # an empty Λ^1 V as well: it cannot hold the trivial summand hook_0, so
+            # hook_1 < 0, while the residual comes out zero
+            (lambda c: c[:1] + ((0,) * len(c[1]),) + c[2:-1] + c[:1], r"-1.*residual 0 "),
         ],
         ids=["top-coefficient", "first-coefficient"],
     )
     def test_perturbed_column_is_caught(self, monkeypatch, perturb, message):
-        columns = perturb(oracle._exterior_columns(5))
-        monkeypatch.setattr(oracle, "_exterior_columns", lambda n: columns)
+        columns = perturb(character_table(5).exterior_columns)
+        monkeypatch.setattr(oracle.CharacterTable, "exterior_columns", property(lambda t: columns))
         with pytest.raises(ArithmeticError, match=message):
             hook_exterior_sweep((5,), (5,))
 
@@ -268,28 +273,6 @@ class TestCacheFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "table 1 is damaged" in err
         assert path.read_bytes() == clean.read_bytes()
-
-    def test_file_in_step_is_read_once_until_it_changes(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "tables.json"
-        character_table(5, cache=path)
-        loads = []
-        real_load = oracle.load_cache_file
-        monkeypatch.setattr(oracle, "load_cache_file", lambda p: loads.append(p) or real_load(p))
-        triple = ((3, 2, 1), (4, 1, 1), (3, 3))
-        for _ in range(20):
-            assert kronecker(*triple, cache=path) == kronecker(*triple)
-        assert len(loads) == 1
-        clean = path.read_bytes()
-        data = json.loads(clean)
-        (six,) = [t for t in data["tables"] if t["n"] == 6]
-        assert six["rows"][1][0] == -1
-        six["rows"][1][0] = 1  # a hand edit, one byte shorter
-        path.write_text(json.dumps(data))
-        assert kronecker(*triple, cache=path) == kronecker(*triple)
-        assert len(loads) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "table for n=6 differs" in err
-        assert path.read_bytes() == clean
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "tables.json"
