@@ -5,8 +5,8 @@ border-strip recursion on beta-numbers, tensor multiplicities from the
 class-weighted triple product divided by n! with a hard zero-remainder check.
 Λ^m V, for the permutation module V, takes its character from det(1 + qσ), and
 hook_m = Λ^m V − hook_{m-1}.  Tables always come from the recursion and are
-cached in memory per degree; a small JSON file can keep a copy, which is
-checked against the recursion and rewritten when it differs.
+cached in memory per degree; a small JSON file can keep a copy, of which only
+the degrees are read: it is rewritten from the recursion when it differs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import RangeError, TooLargeError
-from .shapes import Partition, _ints, conjugate, label_size, partition, partitions
+from .shapes import Partition, conjugate, label_size, partition, partitions
 
 DEFAULT_CAP = 9
 CACHE_FORMAT_VERSION = 1
@@ -124,58 +124,39 @@ def _part_index(n: int) -> dict[Partition, int]:
 _TABLES: dict[int, CharacterTable] = {}
 
 
-def _compute_table(n: int) -> CharacterTable:
-    parts = partitions(n)
-    rows = tuple(
-        tuple(character_value(lam, mu) for mu in parts) for lam in parts
-    )
-    sizes = tuple(cycle_type_class_size(mu, n) for mu in parts)
-    return CharacterTable(n, parts, rows, sizes)
-
-
-def _is_partition_count(n: int, count: int) -> bool:
-    """Whether ``n`` has ``count`` partitions.  Euler's pentagonal recurrence
-    gives p(0), p(1), ...; p never decreases, so it stops once p(k) > count."""
-    p = [1]
-    while len(p) <= n and p[-1] <= count:
-        k = len(p)
-        pentagonal = ((j, j * (3 * j - 1) // 2) for j in range(1, k + 1))
-        p.append(sum((-1) ** (j + 1) * (p[k - g] + (p[k - g - j] if g + j <= k else 0))
-                     for j, g in pentagonal if g <= k))
-    return 0 <= n < len(p) and p[n] == count
-
-
-def _table_from_json(obj: dict) -> CharacterTable:
-    (n,) = _ints((obj["n"],))
-    if not _is_partition_count(n, len(obj["classes"])):  # cheap, unlike partitions(huge n)
-        raise ValueError(f"cached table for n={n} lists the wrong number of classes")
-    parts = tuple(partition(p) for p in obj["classes"])
-    if parts != partitions(n):
-        raise ValueError(f"cached table for n={n} lists classes in a foreign order")
-    rows = tuple(map(_ints, obj["rows"]))
-    sizes = tuple(cycle_type_class_size(mu, n) for mu in parts)
-    return CharacterTable(n, parts, rows, sizes)
+def _table(n: int) -> CharacterTable:
+    """The recursion's table for degree ``n``, computed once per process."""
+    if n not in _TABLES:
+        parts = partitions(n)
+        rows = tuple(
+            tuple(character_value(lam, mu) for mu in parts) for lam in parts
+        )
+        sizes = tuple(cycle_type_class_size(mu, n) for mu in parts)
+        _TABLES[n] = CharacterTable(n, parts, rows, sizes)
+    return _TABLES[n]
 
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
-    """The tables stored at ``path`` that parse, keyed by degree.
+def load_cache_file(path: str | Path, *, cap: int = DEFAULT_CAP) -> dict[int, CharacterTable]:
+    """The recursion's tables for the degrees named at ``path``, keyed by degree.
 
-    A file that is not JSON, or a table that is malformed, is skipped with one
-    warning line on stderr, and :func:`character_table` drops it from the file.
-    Entries are not checked here; :func:`character_table` compares them with
-    the recursion.  An unknown format version raises, so a newer file is never
-    overwritten.
+    Only each entry's ``n`` is read.  A file that is not JSON, or an entry whose
+    ``n`` is not a JSON integer in 1..``cap``, is skipped with one warning line
+    on stderr, and :func:`character_table` drops it from the file; an entry that
+    is not exactly its degree's table as JSON text gets one warning line too.
+    A format version other than the JSON integer 1 raises, so a newer file is
+    never overwritten.
     """
     try:
         obj = json.loads(Path(path).read_text())
     except ValueError:
         _warn(f"cache file {path} is not valid JSON; ignoring it")
         return {}
-    if not isinstance(obj, dict) or obj.get("version") != CACHE_FORMAT_VERSION:
+    version = obj.get("version") if isinstance(obj, dict) else None
+    if (type(version), version) != (int, CACHE_FORMAT_VERSION):
         raise ValueError(f"unsupported cache version in {path}")
     entries = obj.get("tables")
     if not isinstance(entries, list):
@@ -183,12 +164,13 @@ def load_cache_file(path: str | Path) -> dict[int, CharacterTable]:
         return {}
     out = {}
     for k, entry in enumerate(entries):
-        try:
-            table = _table_from_json(entry)
-        except (KeyError, TypeError, ValueError):
+        n = entry.get("n") if isinstance(entry, dict) else None
+        if type(n) is not int or not 1 <= n <= cap:
             _warn(f"cache file {path}: table {k + 1} is damaged; ignoring it")
             continue
-        out[table.n] = table
+        table = out[n] = _table(n)
+        if json.dumps(entry, sort_keys=True) != json.dumps(table.to_json(), sort_keys=True):
+            _warn(f"cache file {path}: table {k + 1} is damaged; recomputing it")
     return out
 
 
@@ -217,22 +199,17 @@ def character_table(
 ) -> CharacterTable:
     """Full character table for degree ``n``, computed once per process.
 
-    With ``cache``, the file is rewritten, with a warning if its copy of the
-    table differs, whenever it is not exactly the tables that parse plus the
-    computed one.
+    With ``cache``, the file is rewritten whenever it is not exactly the
+    recursion's tables for the degrees it names up to ``cap``, plus ``n``.
     """
     if n < 1:
         raise RangeError(f"degree must be at least 1, got {n}")
     if n > cap:
         raise TooLargeError(f"degree {n} exceeds the cap {cap}")
-    if n not in _TABLES:
-        _TABLES[n] = _compute_table(n)
-    table = _TABLES[n]
+    table = _table(n)
     if cache is not None:
         on_disk = Path(cache).read_bytes() if os.path.exists(cache) else None
-        stored = load_cache_file(cache) if on_disk is not None else {}
-        if stored.get(n, table) != table:
-            _warn(f"cache file {cache}: table for n={n} differs; rewriting it")
+        stored = load_cache_file(cache, cap=cap) if on_disk is not None else {}
         stored[n] = table
         if _cache_text(stored).encode() != on_disk:
             save_cache_file(cache, stored)
@@ -260,16 +237,11 @@ def _exterior(table: CharacterTable, lam: Partition, mu: Partition, ms: range) -
 
 
 def kronecker(
-    lam: Partition,
-    nu: Partition,
-    mu: Partition,
-    *,
-    cache: str | Path | None = None,
-    cap: int = DEFAULT_CAP,
+    lam: Partition, nu: Partition, mu: Partition, *, cap: int = DEFAULT_CAP
 ) -> int:
     """Multiplicity of the ``mu`` irreducible in the tensor product of the
     ``lam`` and ``nu`` irreducibles; symmetric in all three labels."""
-    table = character_table(label_size(lam, nu, mu), cache=cache, cap=cap)
+    table = character_table(label_size(lam, nu, mu), cap=cap)
     rows = [table.rows[table.index(p)] for p in (lam, nu, mu)]
     total = sum(size * a * b * c for size, a, b, c in zip(table.class_sizes, *rows))
     return _multiplicity(total, table.n, tuple(lam), tuple(nu), tuple(mu))
@@ -294,12 +266,7 @@ def dimension(lam: Partition, *, cap: int = DEFAULT_CAP) -> int:
 
 
 def exterior_multiplicity(
-    lam: Partition,
-    mu: Partition,
-    m: int,
-    *,
-    cache: str | Path | None = None,
-    cap: int = DEFAULT_CAP,
+    lam: Partition, mu: Partition, m: int, *, cap: int = DEFAULT_CAP
 ) -> int:
     """Multiplicity of the ``mu`` irreducible in ``lam`` tensored with the
     m-th exterior power of the defining permutation module, from its character."""
@@ -308,4 +275,4 @@ def exterior_multiplicity(
         return int(partition(lam) == partition(mu))
     if m == n:
         return int(partition(mu) == conjugate(partition(lam)))
-    return _exterior(character_table(n, cache=cache, cap=cap), lam, mu, range(m, m + 1))[0]
+    return _exterior(character_table(n, cap=cap), lam, mu, range(m, m + 1))[0]

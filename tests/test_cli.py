@@ -322,6 +322,20 @@ class TestVerify:
         assert err.startswith("warning: ") and err.count("\n") == 1
         assert path.read_text() == good
 
+    def test_damaged_table_for_another_degree_is_recomputed(self, capsys, tmp_path):
+        path = tmp_path / "cache.json"
+        assert run_cli(capsys, "verify", "--n", "5", "--n-min", "4", "--cache", str(path))[0] == 0
+        clean = path.read_bytes()
+        data = json.loads(clean)
+        table = data["tables"][0]
+        assert table["n"] == 4
+        table["rows"][:2] = table["rows"][1::-1]
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--n", "5", "--cache", str(path))
+        assert (code, out) == (0, "checks: 833, all pass\n")
+        assert err == f"warning: cache file {path}: table 1 is damaged; recomputing it\n"
+        assert path.read_bytes() == clean
+
 
 TABLEAU = {"outer": [2, 1], "inner": [1], "entries": [[2, 1, 1], [1, 2, 5]]}
 PICTURE = {

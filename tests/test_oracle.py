@@ -231,7 +231,7 @@ class TestCacheFile:
 
     def test_tampered_degree_is_rejected_before_enumerating(self, tmp_path, capsys, monkeypatch):
         # p(200) is about 4e12: enumerating it would never finish, so the
-        # class count must be compared before partitions(200) is asked for
+        # cap must be checked before partitions(200) is asked for
         clean = tmp_path / "clean.json"
         character_table(5, cache=clean)
         path = tmp_path / "tables.json"
@@ -279,3 +279,34 @@ class TestCacheFile:
         path.write_text(json.dumps({"version": 99, "tables": []}))
         with pytest.raises(ValueError):
             load_cache_file(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_version_must_be_the_json_integer_one(self, tmp_path, version):
+        # both compare equal to 1, so a check by value alone overwrote the file
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps({"version": version, "tables": []}))
+        written = path.read_bytes()
+        with pytest.raises(ValueError, match="unsupported cache version"):
+            character_table(3, cache=path)
+        assert path.read_bytes() == written
+
+    def test_cap_bounds_the_degrees_kept(self, tmp_path, capsys):
+        path = tmp_path / "tables.json"
+        character_table(10, cache=path, cap=10)
+        written = path.read_bytes()
+        character_table(10, cache=path, cap=10)
+        assert capsys.readouterr().err == ""
+        assert path.read_bytes() == written
+        character_table(5, cache=path)
+        assert capsys.readouterr().err == (
+            f"warning: cache file {path}: table 1 is damaged; ignoring it\n"
+        )
+        assert [entry["n"] for entry in json.loads(path.read_text())["tables"]] == [5]
+
+    def test_library_calls_take_no_cache(self, tmp_path):
+        path = tmp_path / "tables.json"
+        with pytest.raises(TypeError):
+            kronecker((2, 1), (2, 1), (3,), cache=path)
+        with pytest.raises(TypeError):
+            exterior_multiplicity((2, 1), (2, 1), 1, cache=path)
+        assert not path.exists()

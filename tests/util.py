@@ -42,6 +42,18 @@ def brute_force_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(candidates, reverse=True))
 
 
+def pentagonal_partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n) from Euler's pentagonal recurrence, with no partition
+    enumerated: p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - g_j) + p(k - g_j - j)),
+    g_j = j(3j - 1)/2 the pentagonal numbers, terms with a negative index left out."""
+    p = [1]
+    for k in range(1, n + 1):
+        pentagonal = ((j, j * (3 * j - 1) // 2) for j in range(1, k + 1))
+        p.append(sum((-1) ** (j + 1) * (p[k - g] + (p[k - g - j] if g + j <= k else 0))
+                     for j, g in pentagonal if g <= k))
+    return p
+
+
 def random_subpartition(rng: Random, outer) -> tuple[int, ...]:
     prev = outer[0] if outer else 0
     parts = []
