@@ -22,7 +22,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import RangeError, TooLargeError
-from .shapes import Partition, conjugate, label_size, partition, partitions
+from .shapes import Partition, _ints, canonical_labels, conjugate, partition, partitions
 
 DEFAULT_CAP = 9
 CACHE_FORMAT_VERSION = 1
@@ -84,11 +84,8 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
 
     def index(self, p: Partition) -> int:
-        """Where label ``p`` sits; other spellings are made canonical on a miss."""
-        try:
-            return _part_index(self.n)[p]
-        except (KeyError, TypeError):
-            return _part_index(self.n)[partition(p)]
+        """Where label ``p`` sits, once :func:`partition` has made it canonical."""
+        return _part_index(self.n)[partition(p)]
 
     def chi(self, lam: Partition, mu: Partition) -> int:
         return self.rows[self.index(lam)][self.index(mu)]
@@ -202,6 +199,7 @@ def character_table(
     With ``cache``, the file is rewritten whenever it is not exactly the
     recursion's tables for the degrees it names up to ``cap``, plus ``n``.
     """
+    _ints((n, cap), "an integer degree")
     if n < 1:
         raise RangeError(f"degree must be at least 1, got {n}")
     if n > cap:
@@ -241,10 +239,11 @@ def kronecker(
 ) -> int:
     """Multiplicity of the ``mu`` irreducible in the tensor product of the
     ``lam`` and ``nu`` irreducibles; symmetric in all three labels."""
-    table = character_table(label_size(lam, nu, mu), cap=cap)
+    lam, nu, mu = canonical_labels(lam, nu, mu)
+    table = character_table(sum(lam), cap=cap)
     rows = [table.rows[table.index(p)] for p in (lam, nu, mu)]
     total = sum(size * a * b * c for size, a, b, c in zip(table.class_sizes, *rows))
-    return _multiplicity(total, table.n, tuple(lam), tuple(nu), tuple(mu))
+    return _multiplicity(total, table.n, lam, nu, mu)
 
 
 def hook_exterior_sweep(
@@ -252,7 +251,8 @@ def hook_exterior_sweep(
 ) -> tuple[list[int], list[int]]:
     """Multiplicities of ``mu`` in ``lam`` tensored with hook_m, m < n, and with Λ^m V,
     m <= n, in one pass over the classes; hooks may not be negative, and Λ^n V = hook_{n-1}."""
-    n = label_size(lam, mu)
+    lam, mu = canonical_labels(lam, mu)
+    n = sum(lam)
     exterior = _exterior(character_table(n, cap=cap), lam, mu, range(n + 1))
     *hook, residual = accumulate(exterior, lambda below, power: power - below)
     if residual or min(hook) < 0:
@@ -261,6 +261,9 @@ def hook_exterior_sweep(
 
 
 def dimension(lam: Partition, *, cap: int = DEFAULT_CAP) -> int:
+    """Degree of the ``lam`` irreducible, read from its character table; the empty
+    label gives 1 without one.  A label that is not a partition of ints raises
+    ``ValueError``, and a degree above ``cap`` raises :class:`TooLargeError`."""
     lam = partition(lam)
     return character_table(sum(lam), cap=cap).dimension(lam) if lam else 1
 
@@ -270,9 +273,10 @@ def exterior_multiplicity(
 ) -> int:
     """Multiplicity of the ``mu`` irreducible in ``lam`` tensored with the
     m-th exterior power of the defining permutation module, from its character."""
-    n = label_size(lam, mu, m=m, exterior=True)
+    lam, mu = canonical_labels(lam, mu, m=m, exterior=True)
+    n = sum(lam)
     if m == 0:
-        return int(partition(lam) == partition(mu))
+        return int(lam == mu)
     if m == n:
-        return int(partition(mu) == conjugate(partition(lam)))
+        return int(mu == conjugate(lam))
     return _exterior(character_table(n, cap=cap), lam, mu, range(m, m + 1))[0]

@@ -294,6 +294,7 @@ def partitions(n: int) -> tuple[Partition, ...]:
     This is the fixed iteration order used everywhere an output is sorted
     "by partition".
     """
+    _ints((n,), "an integer degree")
     if n < 0:
         raise ValueError("n must be non-negative")
     return partitions_inside((n,) * n, n)
@@ -318,8 +319,7 @@ def partitions_inside(bound: Partition, k: int) -> tuple[Partition, ...]:
     )
 
 
-@lru_cache(maxsize=None, typed=True)  # so a leg of True misses the entry for 1
 def hook_partition(n: int, m: int) -> Partition:
     """The hook with arm ``n - m`` and leg ``m``."""
-    label_size((n,), m=m)  # the leg rule for degree n
+    label_size(_ints((n,), "an integer degree"), m=m)  # the leg rule for degree n
     return partition((n - m,) + (1,) * m)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hook_rule, lr, oracle
-from .shapes import Partition, format_partition, partitions
+from .shapes import Partition, _ints, format_partition, partitions
 from .parallel import ordered_map
 
 
@@ -66,6 +66,15 @@ def verify_range(
     jobs: int = 1,
     cache: str | Path | None = None,
 ) -> VerifyReport:
+    """Check every ordered pair of partitions of each degree n_min..n_max.
+
+    Both degrees must be ``int``s (``True`` and ``1.0`` refused) with
+    1 <= n_min <= n_max, or a ``ValueError`` is raised; a degree above the
+    oracle's cap raises :class:`TooLargeError` before any pair is counted.
+    ``jobs`` workers share the pairs, with the same report as one; ``cache``
+    names a character-table file brought in step once per degree.
+    """
+    _ints((n_min, n_max), "an integer degree")
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad degree range {n_min}..{n_max}")
     tasks = []

@@ -59,6 +59,14 @@ class TestCharacterTable:
         with pytest.raises(RangeError):
             character_table(0)
 
+    def test_a_degree_of_true_is_refused_and_stores_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        with pytest.raises(ValueError, match="expected an integer degree, got True"):
+            character_table(True)
+        cache = tmp_path / "tables.json"
+        assert type(character_table(1, cache=cache).n) is int
+        assert type(json.loads(cache.read_text())["tables"][0]["n"]) is int
+
 
 class TestKronecker:
     def test_trivial_factor(self):
@@ -179,6 +187,33 @@ class TestHookExteriorSweep:
         monkeypatch.setattr(oracle.CharacterTable, "exterior_columns", property(lambda t: columns))
         with pytest.raises(ArithmeticError, match=message):
             hook_exterior_sweep((5,), (5,))
+
+
+# Every oracle call that takes labels, on labels of n = 3, by arity.
+LABEL_TAKERS = {
+    "kronecker": (3, kronecker),
+    "hook_exterior_sweep": (2, hook_exterior_sweep),
+    "exterior_multiplicity": (2, lambda lam, mu: exterior_multiplicity(lam, mu, 1)),
+    "chi": (2, lambda lam, mu: character_table(3).chi(lam, mu)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, position, label",
+    [
+        pytest.param(name, position, label, id=f"{name}-label{position + 1}-{label}")
+        for name, (arity, _) in LABEL_TAKERS.items()
+        for position in range(arity)
+        for label in [(True, True, True), (2.0, 1)]
+    ],
+)
+def test_a_part_that_is_not_an_int_is_refused(name, position, label):
+    # each sums to the degree of (2, 1), so only the form rule can refuse it
+    arity, call = LABEL_TAKERS[name]
+    labels = [(2, 1)] * arity
+    labels[position] = label
+    with pytest.raises(ValueError, match="expected an integer part"):
+        call(*labels)
 
 
 class TestDimension:

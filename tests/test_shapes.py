@@ -17,6 +17,7 @@ from hookkron.hook_rule import (
 )
 from hookkron.lr import exterior_multiplicity_via_lr
 from hookkron.oracle import (
+    character_table,
     dimension,
     exterior_multiplicity,
     hook_exterior_sweep,
@@ -46,6 +47,7 @@ from hookkron.shapes import (
     sw_key,
     transpose_shape,
 )
+from hookkron.verify import verify_range
 
 
 @st.composite
@@ -317,6 +319,7 @@ SPELLINGS = {
     "not-a-partition": (1, 2),
     "size-mismatch": (2, 1, 1),
     "float-part": (1.5, 1.5),
+    "bool-parts": (True, True, True),
 }
 
 
@@ -339,7 +342,7 @@ class TestInputRules:
         if spelling == "size-mismatch":
             with pytest.raises(SizeMismatchError, match="labels must partition the same n"):
                 call(*labels)
-        elif spelling in ("not-a-partition", "float-part"):
+        elif spelling in ("not-a-partition", "float-part", "bool-parts"):
             with pytest.raises(ValueError):
                 call(*labels)
         elif name == "TypedPicture":
@@ -359,7 +362,7 @@ class TestInputRules:
     )
     def test_every_leg_taking_function_refuses_a_leg_that_is_not_an_int(self, name, leg):
         # True and 1.5 would pass the range check, as 1 and as a number in [0, n]
-        hook_partition(3, 1)  # so a cache keyed on value alone would answer True
+        hook_partition(3, 1)  # a memo keyed on value alone, were one added, would answer True
         with pytest.raises(ValueError, match=f"expected an integer leg m, got {leg!r}"):
             LEG_TAKERS[name](leg)
 
@@ -389,4 +392,22 @@ class TestInputRules:
     )
     def test_leg_rule_raises_range_error(self, call):
         with pytest.raises(RangeError, match="need 0 <= m"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: partitions(2.0),
+            lambda: character_table(2.0),
+            lambda: character_table(3, cap=9.0),
+            lambda: verify_range(1.0, 2),
+            lambda: verify_range(1, True),
+            lambda: hook_partition(True, 0),
+        ],
+        ids=["partitions", "character_table", "character_table-cap", "verify_range-n_min",
+             "verify_range-n_max", "hook_partition"],
+    )
+    def test_a_degree_that_is_not_an_int_is_refused(self, call):
+        # 2.0 and True would otherwise be taken as 2 and 1, or fail as a TypeError
+        with pytest.raises(ValueError, match="expected an integer degree"):
             call()
