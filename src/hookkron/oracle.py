@@ -21,7 +21,7 @@ from math import factorial
 from operator import mul
 from pathlib import Path
 
-from .errors import RangeError, TooLargeError
+from .errors import RangeError, SizeMismatchError, TooLargeError
 from .shapes import Partition, _ints, canonical_labels, conjugate, partition, partitions
 
 DEFAULT_CAP = 9
@@ -85,7 +85,9 @@ class CharacterTable:
 
     def index(self, p: Partition) -> int:
         """Where label ``p`` sits, once :func:`partition` has made it canonical."""
-        return _part_index(self.n)[partition(p)]
+        if sum(p := partition(p)) != self.n:
+            raise SizeMismatchError(f"label {p} does not partition the degree {self.n}")
+        return _part_index(self.n)[p]
 
     def chi(self, lam: Partition, mu: Partition) -> int:
         return self.rows[self.index(lam)][self.index(mu)]

@@ -16,6 +16,8 @@ def ordered_map(fn: Callable[[T], R], tasks: Iterable[T], jobs: int = 1) -> list
     Results are identical to the sequential run by construction, so callers
     keep their determinism contract regardless of the worker count.
     """
+    if type(jobs) is not int or jobs < 1:  # the shapes._ints rule: True and 2.0 refused
+        raise ValueError(f"expected an integer worker count of at least 1, got {jobs!r:.40}")
     items: Sequence[T] = list(tasks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(jobs, cpus or 1)

@@ -53,10 +53,11 @@ def _verify_pair(task: tuple) -> tuple[int, list[Mismatch]]:
     n, lam, mu = task
     hook_counts, exterior_counts = hook_rule.picture_counts(lam, mu)
     hook_oracle, exterior_oracle = oracle.hook_exterior_sweep(lam, mu)
+    exterior_lr = lr.exterior_sweep_via_lr(lam, mu)
     checks = [("hook", m, hook_counts[m], hook_oracle[m]) for m in range(n)]
     for m, counted in enumerate(exterior_counts):
         checks.append(("exterior", m, counted, exterior_oracle[m]))
-        checks.append(("exterior-lr", m, counted, lr.exterior_multiplicity_via_lr(lam, mu, m)))
+        checks.append(("exterior-lr", m, counted, exterior_lr[m]))
     return len(checks), [Mismatch(n, lam, mu, m, q, c, e) for q, m, c, e in checks if c != e]
 
 

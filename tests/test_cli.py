@@ -227,6 +227,12 @@ class TestLr:
         assert code == 2
         assert "lam" in err or "size" in err.lower()
 
+    def test_a_deep_lr_input_searches_from_the_empty_shape(self, capsys):
+        # c^λ_{ζξ} = c^λ_{ξζ}: the search starts from the smaller of ζ and ξ, here ()
+        for zeta, xi in (("0", "1200"), ("1200", "0")):
+            code, out, err = run_cli(capsys, "lr", "--lambda", "1200", "--zeta", zeta, "--xi", xi)
+            assert (code, out, err) == (0, "1\n", "")
+
 
 class TestVerify:
     def test_pass(self, capsys):
@@ -263,9 +269,10 @@ class TestVerify:
         [
             # verify takes both oracle columns from the sweep; only the exterior one is bumped
             ("oracle", "hook_exterior_sweep", "exterior", lambda r: (r[0], [x + 1 for x in r[1]])),
-            ("lr", "exterior_multiplicity_via_lr", "exterior-lr", lambda r: r + 1),
+            # and the LR column from the LR sweep, one call per pair for every m
+            ("lr", "exterior_sweep_via_lr", "exterior-lr", lambda r: [x + 1 for x in r]),
         ],
-        ids=["oracle-hook_exterior_sweep-exterior", "lr-exterior_multiplicity_via_lr-exterior-lr"],
+        ids=["oracle-hook_exterior_sweep-exterior", "lr-exterior_sweep_via_lr-exterior-lr"],
     )
     def test_exterior_mismatches_exit_1(
         self, capsys, monkeypatch, module, name, quantity, off_by_one
@@ -516,7 +523,7 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv, stdin",
         [
-            (["lr", "--lambda", "1200", "--zeta", "0", "--xi", "1200"], ""),
+            (["lr", "--lambda", "2400", "--zeta", "1200", "--xi", "1200"], ""),
             (["render"], "[" * 100_000),
         ],
         ids=["search-depth", "json-nesting"],

@@ -1,12 +1,14 @@
 import pytest
 
 import util
+from hookkron import lr
 from hookkron.errors import RangeError, SizeMismatchError
 from hookkron.hook_rule import multiplicity_exterior
-from hookkron.lr import exterior_multiplicity_via_lr, lr_coefficient
-from hookkron.oracle import dimension
-from hookkron.pictures import enumerate_pictures
+from hookkron.lr import exterior_multiplicity_via_lr, exterior_sweep_via_lr, lr_coefficient
+from hookkron.oracle import dimension, hook_exterior_sweep
+from hookkron.pictures import _search, enumerate_pictures
 from hookkron.shapes import conjugate, contains, partitions, skew
+from hookkron.verify import verify_range
 
 
 class TestLRCoefficient:
@@ -48,16 +50,18 @@ class TestLRCoefficient:
                             assert lr_coefficient(lam, zeta, xi) == len(pictures)
 
     def test_symmetry_in_the_lower_labels(self):
+        # lr_coefficient searches from the smaller lower label; the witness
+        # searches from the larger one, so the two orientations meet only here
         for n in range(1, 9):
             for lam in partitions(n):
-                for m in range(n // 2 + 1):
+                for m in range(n // 2, n + 1):
                     for zeta in partitions(n - m):
                         if not contains(lam, zeta):
                             continue
                         for xi in partitions(m):
-                            assert lr_coefficient(lam, zeta, xi) == lr_coefficient(
-                                lam, xi, zeta
-                            )
+                            witness = len(_search(skew(xi, ()), skew(lam, zeta)))
+                            assert lr_coefficient(lam, zeta, xi) == witness
+                            assert lr_coefficient(lam, xi, zeta) == witness
 
     def test_transpose_symmetry(self):
         for n in range(1, 8):
@@ -114,3 +118,33 @@ class TestExteriorViaLR:
             exterior_multiplicity_via_lr((2, 1), (2, 1), -1)
         with pytest.raises(SizeMismatchError):
             exterior_multiplicity_via_lr((2, 1), (2,), 1)
+
+
+class TestExteriorSweepViaLR:
+    def test_equals_the_per_m_sums_and_the_oracle(self):
+        for n in range(1, 8):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    sweep = exterior_sweep_via_lr(lam, mu)
+                    per_m = [exterior_multiplicity_via_lr(lam, mu, m) for m in range(n + 1)]
+                    assert sweep == per_m
+                    assert sweep == hook_exterior_sweep(lam, mu)[1]
+
+    def test_takes_list_labels_and_refuses_a_size_mismatch(self):
+        assert exterior_sweep_via_lr([2, 1], [2, 1, 0]) == exterior_sweep_via_lr((2, 1), (2, 1))
+        assert exterior_sweep_via_lr((), ()) == [1]
+        with pytest.raises(SizeMismatchError):
+            exterior_sweep_via_lr((2, 1), (2,))
+
+    def test_every_search_of_a_verify_sweep_starts_from_at_most_half_the_cells(self, monkeypatch):
+        searched = []
+
+        def recording(source, target):
+            searched.append((source.size, sum(target.outer)))
+            return _search(source, target)
+
+        monkeypatch.setattr(lr, "_search", recording)
+        lr_coefficient.cache_clear()  # every coefficient is searched afresh
+        assert verify_range(1, 7).ok
+        assert searched
+        assert all(cells <= n // 2 for cells, n in searched)

@@ -59,6 +59,13 @@ class TestCharacterTable:
         with pytest.raises(RangeError):
             character_table(0)
 
+    def test_a_label_of_another_degree_is_a_size_mismatch(self):
+        table = character_table(3)
+        with pytest.raises(SizeMismatchError, match=r"\(3, 1\) does not partition the degree 3"):
+            table.chi((3, 1), (3,))
+        with pytest.raises(SizeMismatchError):
+            table.dimension((1,))
+
     def test_a_degree_of_true_is_refused_and_stores_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "_TABLES", {})
         with pytest.raises(ValueError, match="expected an integer degree, got True"):

@@ -55,6 +55,12 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
 
+JOB_TAKERS = {
+    "verify_range": lambda jobs: verify_range(2, 3, jobs=jobs),
+    "decompose_tensor_hook": lambda jobs: hook_rule.decompose_tensor_hook((2, 1), 1, jobs=jobs),
+}
+
+
 class TestOrderedMap:
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         # a platform without CPU affinity falls back on the CPU count
@@ -71,6 +77,16 @@ class TestOrderedMap:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
         tasks = list(range(10))
         assert parallel.ordered_map(abs, tasks, jobs=64) == [abs(t) for t in tasks]
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, 1.5], ids=["zero", "negative", "true", "float"])
+    @pytest.mark.parametrize("caller", ["verify_range", "decompose_tensor_hook"])
+    def test_a_worker_count_that_is_not_a_positive_int_is_refused(self, caller, jobs):
+        with pytest.raises(ValueError, match="expected an integer worker count of at least 1"):
+            JOB_TAKERS[caller](jobs)
+
+    @pytest.mark.parametrize("caller", ["verify_range", "decompose_tensor_hook"])
+    def test_two_workers_give_the_one_worker_answer(self, caller):
+        assert JOB_TAKERS[caller](2) == JOB_TAKERS[caller](1)
 
     def test_import_loads_no_process_machinery(self):
         code = (
