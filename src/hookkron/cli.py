@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse, file,
-oracle, out-of-memory or too-deep-recursion error.
+oracle, out-of-memory or too-deep-recursion error.  A reader that closes
+stdout early ends the command quietly, with the status decided so far.
 JSON output is byte-identical across runs and across ``--jobs`` settings.
 """
 
@@ -97,10 +98,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cache = args.cache or os.environ.get("HOOKKRON_CACHE") or None
     n_min = args.n_min if args.n_min is not None else args.n
     report = verify_range(n_min, args.n, jobs=args.jobs, cache=cache)
+    args.status = 0 if report.ok else 1  # decided before any line is printed
     for mismatch in report.mismatches:
         print(str(mismatch))
     print(report.summary())
-    return 0 if report.ok else 1
+    return args.status
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -177,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--in", dest="infile", default="-", metavar="PATH")
     render.set_defaults(func=cmd_render)
 
+    parser.set_defaults(status=0)
     return parser
 
 
@@ -187,7 +190,21 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader has what it wants: point stdout at devnull, so no later flush fails
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stdout with no descriptor holds no pipe
+            return args.status
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fd)
+        finally:
+            os.close(devnull)
+        return args.status
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterator
 
 from .errors import NotCoHookShapeError, NotHookShapeError, RangeError
 from .parallel import ordered_map
@@ -76,7 +75,7 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
 
 def _pictures(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]:
     """``pw_set``'s step for canonical labels with zeta inside lam and mu:
-    the gate, then the search; the counting loop calls it directly."""
+    the gate, then the search; ``pw_m_set`` and ``_overlap_counts`` call it directly."""
     if not _may_have_pictures(lam, mu, zeta):
         return []
     source = SkewShape(conjugate(mu), conjugate(zeta))
@@ -111,21 +110,26 @@ def _may_have_pictures(lam: Partition, mu: Partition, zeta: Partition) -> bool:
     return True
 
 
-def _overlap_sets(
-    lam: Partition, mu: Partition, m: int
-) -> Iterator[tuple[Partition, list[TypedPicture]]]:
-    """The non-empty per-overlap picture sets of leg size ``m`` (0 <= m <= n)
-    for canonical labels, one at a time: the one loop over overlaps, visiting
-    only the zeta of n - m inside lam and mu (no other has pictures), in the
-    fixed order; ``_pictures`` searches only those that pass ``_may_have_pictures``."""
-    inside = partitions_inside(tuple(map(min, lam, mu)), sum(lam) - m)
-    return ((zeta, pics) for zeta in inside if (pics := _pictures(lam, mu, zeta)))
+def _overlaps(lam: Partition, mu: Partition, m: int) -> tuple[Partition, ...]:
+    """The overlaps of leg size ``m`` (0 <= m <= n) for canonical labels: the
+    zeta of n - m inside lam and mu (no other has pictures), in the fixed order."""
+    return partitions_inside(tuple(map(min, lam, mu)), sum(lam) - m)
+
+
+def _overlap_counts(
+    lam: Partition, mu: Partition, zeta: Partition, with_hook: bool
+) -> tuple[int | None, int]:
+    """One overlap's counts ``(ph, pw)``: its pictures with a balanced cocorner
+    (None unless ``with_hook``) and all of them; the step every count sums."""
+    pics = _pictures(lam, mu, zeta)
+    ph = sum(balanced_cocorner(tp) is not None for tp in pics) if with_hook else None
+    return ph, len(pics)
 
 
 def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:
     """Union of the per-overlap picture sets, overlaps in the fixed order."""
     lam, mu = canonical_labels(lam, mu, m=m, exterior=True)
-    return [tp for _, pics in _overlap_sets(lam, mu, m) for tp in pics]
+    return [tp for zeta in _overlaps(lam, mu, m) for tp in _pictures(lam, mu, zeta)]
 
 
 def balanced_cocorner(tp: TypedPicture) -> Cell | None:
@@ -237,9 +241,10 @@ def _table_row(lam: Partition, mu: Partition, m: int, with_hook: bool) -> TableR
     """One table row's picture counts, per overlap and in total (``ph`` only
     ``with_hook``); every hook and exterior-power count goes through here."""
     by_zeta = []
-    for zeta, pics in _overlap_sets(lam, mu, m):
-        ph = sum(1 for tp in pics if balanced_cocorner(tp) is not None) if with_hook else None
-        by_zeta.append(ZetaCount(zeta, ph, len(pics)))
+    for zeta in _overlaps(lam, mu, m):
+        ph, pw = _overlap_counts(lam, mu, zeta, with_hook)
+        if pw:
+            by_zeta.append(ZetaCount(zeta, ph, pw))
     ph_total = sum(zc.ph for zc in by_zeta) if with_hook else None
     return TableRow(mu, ph_total, sum(zc.pw for zc in by_zeta), tuple(by_zeta))
 

@@ -120,19 +120,13 @@ def _part_index(n: int) -> dict[Partition, int]:
     return {p: k for k, p in enumerate(partitions(n))}
 
 
-_TABLES: dict[int, CharacterTable] = {}
-
-
+@lru_cache(maxsize=None)
 def _table(n: int) -> CharacterTable:
     """The recursion's table for degree ``n``, computed once per process."""
-    if n not in _TABLES:
-        parts = partitions(n)
-        rows = tuple(
-            tuple(character_value(lam, mu) for mu in parts) for lam in parts
-        )
-        sizes = tuple(cycle_type_class_size(mu, n) for mu in parts)
-        _TABLES[n] = CharacterTable(n, parts, rows, sizes)
-    return _TABLES[n]
+    parts = partitions(n)
+    rows = tuple(tuple(character_value(lam, mu) for mu in parts) for lam in parts)
+    sizes = tuple(cycle_type_class_size(mu, n) for mu in parts)
+    return CharacterTable(n, parts, rows, sizes)
 
 
 def _warn(message: str) -> None:

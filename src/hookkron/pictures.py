@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError, RangeError
+from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError
 from .shapes import (
     Cell,
     SkewShape,
@@ -225,8 +225,6 @@ def picture_bump_destination(p: Picture, z: Cell) -> tuple[Cell, BumpRoute]:
         raise InvalidCocornerError(
             f"{format_cell(z)} is not an inner or extreme cocorner of {p.target}"
         )
-    if p.source.length == 0:
-        raise RangeError("cannot bump into a shape with no rows")
     route = bump_route(p.source, p._map.__getitem__, z, lt_sw)
     return route.destination, route
 

@@ -223,11 +223,7 @@ class SkewShape:
 
 @lru_cache(maxsize=None)
 def _reading_cells(shape: SkewShape) -> tuple[Cell, ...]:
-    out: list[Cell] = []
-    for i in range(shape.length, 0, -1):
-        lo, hi = shape.row_bounds(i)
-        out.extend((i, j) for j in range(lo + 1, hi + 1))
-    return tuple(out)
+    return tuple(cell for i in range(shape.length, 0, -1) for cell in shape.row_cells(i))
 
 
 @lru_cache(maxsize=64)

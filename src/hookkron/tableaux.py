@@ -128,14 +128,11 @@ class BumpRoute(NamedTuple):
 def bump_destination(t: PartialTableau, a: int) -> BumpRoute:
     """Trace the insertion of ``a`` without modifying the tableau: the
     :func:`bump_route` of ``a`` through the entries, compared by ``<``."""
-    shape = t.shape
-    if shape.length == 0:
-        raise RangeError("cannot bump into a shape with no rows")
     if a <= 0:
         raise ValueError(f"inserted value must be positive, got {a}")
     if a in t.image():
         raise DuplicateValueError(f"value {a} is already present")
-    return bump_route(shape, t._entries.__getitem__, a, operator.lt)
+    return bump_route(t.shape, t._entries.__getitem__, a, operator.lt)
 
 
 def bump_route(
@@ -146,7 +143,8 @@ def bump_route(
     ``entry`` reads the filling of ``shape``, which increases along rows in
     the strict order ``lt``.  In each row the carried value replaces the
     right-most entry ``lt`` it; a row with no such entry stops the route just
-    left of it, and falling off the top stops at ``(0, outer[0])``.
+    left of it, and falling off the top stops at ``(0, outer[0])``; a shape
+    with no rows has no such cell and raises :class:`RangeError`.
     """
     cells: list[Cell] = []
     landed: list[T] = []
@@ -162,6 +160,8 @@ def bump_route(
             return BumpRoute(tuple(cells), tuple(landed))
         cells.append((i, j))
         carry = bumped
+    if not outer:
+        raise RangeError("cannot bump into a shape with no rows")
     cells.append((0, outer[0]))
     landed.append(carry)
     return BumpRoute(tuple(cells), tuple(landed))

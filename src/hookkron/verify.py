@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import hook_rule, lr, oracle
 from .shapes import Partition, _ints, format_partition, partitions
-from .parallel import ordered_map
+from .parallel import check_jobs, ordered_map
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ def verify_range(
     _ints((n_min, n_max), "an integer degree")
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad degree range {n_min}..{n_max}")
+    check_jobs(jobs)  # before the loop below can write the cache file
     tasks = []
     for n in range(n_min, n_max + 1):
         # fail fast on the cap, fill the in-memory cache and bring the cache

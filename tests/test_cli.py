@@ -303,7 +303,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "damage", ["plus-one", "sign-flip", "truncated", "swapped-rows"]
     )
-    def test_damaged_cache_is_recomputed(self, capsys, monkeypatch, tmp_path, damage):
+    def test_damaged_cache_is_recomputed(self, capsys, tmp_path, damage):
         import hookkron.oracle as oracle
 
         path = tmp_path / "cache.json"
@@ -323,7 +323,7 @@ class TestVerify:
             table["rows"][a], table["rows"][b] = table["rows"][b], table["rows"][a]
         path.write_text(good[:100] if damage == "truncated" else json.dumps(data))
         # no table in memory, so the damaged one would be read from the file
-        monkeypatch.setattr(oracle, "_TABLES", {})
+        oracle._table.cache_clear()
         code, out, err = run_cli(capsys, "verify", "--n", "5", "--cache", str(path))
         assert (code, out) == (0, "checks: 833, all pass\n")
         assert err.startswith("warning: ") and err.count("\n") == 1
@@ -564,3 +564,36 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert result.stdout == "1\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    # buffered, the closed pipe shows only when stdout is flushed; unbuffered, at the first print
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_decompose_into_a_closed_pipe_ends_quietly(self, unbuffered):
+        src = str(Path(hookkron.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = [sys.executable, "-m", "hookkron.cli", "decompose", "--lambda", "5,3,1,1", "--m", "6"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as child:
+            child.stdout.close()  # before the child has printed anything
+            assert child.wait(timeout=120) == 0
+            assert child.stderr.read() == b""
+
+    def test_a_failing_verify_still_exits_1(self, capsys, monkeypatch):
+        import hookkron.hook_rule as hook_rule
+
+        monkeypatch.setattr(hook_rule, "balanced_cocorner", lambda tp: None)
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["verify", "--n", "3"]) == 1
+        assert capsys.readouterr().err == ""

@@ -15,6 +15,8 @@ from hookkron.errors import (
 from hookkron.hook_rule import (
     TypedPicture,
     _may_have_pictures,
+    _overlap_counts,
+    _overlaps,
     balanced_cocorner,
     balanced_corner,
     decompose_tensor_exterior,
@@ -33,6 +35,7 @@ from hookkron.pictures import enumerate_pictures, rw_to_picture
 from hookkron.shapes import (
     SkewShape,
     conjugate,
+    contains,
     hook_partition,
     partitions,
     partitions_inside,
@@ -423,3 +426,23 @@ class TestOverlapGate:
         assert len(table.rows) == 131
         assert sum(r.ph for r in table.rows) == 7316
         assert sum(r.pw for r in table.rows) == 13684
+
+
+class TestOverlapStep:
+    def test_counts_are_the_overlap_picture_set(self):
+        # every overlap inside lam and mu, empty ones included, for n <= 6
+        empty = 0
+        for n in range(1, 7):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    for m in range(n + 1):
+                        inside = [z for z in partitions(n - m) if contains(lam, z)]
+                        overlaps = [z for z in inside if contains(mu, z)]
+                        assert list(_overlaps(lam, mu, m)) == overlaps
+                        for zeta in overlaps:
+                            pics = pw_set(lam, mu, zeta)
+                            hits = sum(balanced_cocorner(tp) is not None for tp in pics)
+                            assert _overlap_counts(lam, mu, zeta, True) == (hits, len(pics))
+                            assert _overlap_counts(lam, mu, zeta, False) == (None, len(pics))
+                            empty += not pics
+        assert empty

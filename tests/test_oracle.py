@@ -66,8 +66,8 @@ class TestCharacterTable:
         with pytest.raises(SizeMismatchError):
             table.dimension((1,))
 
-    def test_a_degree_of_true_is_refused_and_stores_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oracle, "_TABLES", {})
+    def test_a_degree_of_true_is_refused_and_stores_nothing(self, tmp_path):
+        oracle._table.cache_clear()
         with pytest.raises(ValueError, match="expected an integer degree, got True"):
             character_table(True)
         cache = tmp_path / "tables.json"
@@ -172,9 +172,18 @@ class TestHookExteriorSweep:
     def test_corrupted_class_size_raises(self, monkeypatch):
         table = character_table(5)
         sizes = table.class_sizes[:-1] + (table.class_sizes[-1] + 1,)  # the identity class
-        monkeypatch.setitem(oracle._TABLES, 5, dataclasses.replace(table, class_sizes=sizes))
+        corrupted = dataclasses.replace(table, class_sizes=sizes)
+        monkeypatch.setattr(oracle, "_table", {5: corrupted}.__getitem__)
         with pytest.raises(ArithmeticError, match="not integral"):
             hook_exterior_sweep((5,), (5,))
+
+    def test_negated_class_sizes_give_a_negative_multiplicity(self, monkeypatch):
+        # every division comes out whole, with the sign flipped, from Λ^0 on
+        table = character_table(4)
+        negated = dataclasses.replace(table, class_sizes=tuple(-s for s in table.class_sizes))
+        monkeypatch.setattr(oracle, "_table", {4: negated}.__getitem__)
+        with pytest.raises(ArithmeticError, match=r"^negative multiplicity for \(4,\), \(4,\), Λ\^0$"):
+            hook_exterior_sweep((4,), (4,))
 
     @pytest.mark.parametrize(
         "perturb, message",
@@ -232,7 +241,7 @@ class TestDimension:
 
 
 class TestCacheFile:
-    def test_round_trip(self, tmp_path, monkeypatch):
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "tables.json"
         table = character_table(6, cache=path)
         written, inode = path.read_bytes(), path.stat().st_ino
@@ -244,9 +253,7 @@ class TestCacheFile:
         )
         assert load_cache_file(path)[6] == table
         # recompute in a fresh memory cache; a file in step is not rewritten
-        import hookkron.oracle as oracle_module
-
-        monkeypatch.delitem(oracle_module._TABLES, 6)
+        oracle._table.cache_clear()
         assert character_table(6, cache=path) == table
         assert (path.read_bytes(), path.stat().st_ino) == (written, inode)
 
@@ -331,6 +338,16 @@ class TestCacheFile:
         with pytest.raises(ValueError, match="unsupported cache version"):
             character_table(3, cache=path)
         assert path.read_bytes() == written
+
+    def test_tables_that_are_not_a_list_are_ignored_and_rewritten(self, tmp_path, capsys):
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps({"version": 1, "tables": {}}))
+        assert load_cache_file(path) == {}
+        assert capsys.readouterr().err == (
+            f"warning: cache file {path} has no list of tables; ignoring it\n"
+        )
+        character_table(3, cache=path)
+        assert [entry["n"] for entry in json.loads(path.read_text())["tables"]] == [3]
 
     def test_cap_bounds_the_degrees_kept(self, tmp_path, capsys):
         path = tmp_path / "tables.json"

@@ -34,8 +34,8 @@ from hookkron.pictures import (
     render_picture,
     rw_to_picture,
 )
-from hookkron.shapes import icc_bar, partitions, skew, transpose_shape
-from hookkron.tableaux import PartialTableau, bump_destination, row_reading
+from hookkron.shapes import icc_bar, lt_sw, partitions, skew, transpose_shape
+from hookkron.tableaux import PartialTableau, bump_destination, bump_route, row_reading
 
 
 class TestPictureValidation:
@@ -286,6 +286,8 @@ class TestPictureBumping:
             picture_bump_destination(p, (1, 1))
         with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
             addable_cocorners(p)
+        with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
+            bump_route(p.source, p.__getitem__, (1, 1), lt_sw)
 
     def test_single_cell_matches_tableau(self):
         p = Picture(skew((2,), (1,)), skew((2,), (1,)), {(1, 2): (1, 2)})
@@ -459,6 +461,12 @@ class TestSerialisation:
         assert obj["target"] == {"outer": [5, 5, 4, 2, 1], "inner": [3, 3, 2, 1]}
         assert obj["map"][0] == [4, 1, 5, 1]
         assert picture_from_json(json.loads(json.dumps(obj))) == example_picture
+
+    def test_render_numbers_more_cells_than_letters(self):
+        row = skew((27,), ())
+        p = Picture(row, row, {cell: cell for cell in row.cells()})
+        boxes = "".join(f"[{k:>2}]" for k in range(1, 28))
+        assert render_picture(p) == f"{boxes}  ->  {boxes}"
 
     def test_render_labels_match(self, example_picture):
         text = render_picture(example_picture)

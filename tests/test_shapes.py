@@ -92,6 +92,8 @@ class TestPartition:
         assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
         assert partitions(0) == ((),)
         assert len(partitions(7)) == 15
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            partitions(-1)
 
     def test_partitions_match_an_independent_reference(self):
         for n in range(11):

@@ -1,4 +1,5 @@
 import json
+import operator
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from hookkron.shapes import skew
 from hookkron.tableaux import (
     PartialTableau,
     bump_destination,
+    bump_route,
     delete,
     insert,
     removable_corners,
@@ -79,6 +81,7 @@ class TestValidation:
             ((2, 2), {(2, 1): 4, (2, 2): 3, (1, 1): 5, (1, 2): 1}, "row 2 is not increasing at column 1"),
             ((2, 2), {(2, 1): 1, (2, 2): 2, (1, 1): 5, (1, 2): 3}, "row 1 is not increasing at column 1"),
             ((2, 2), {(2, 1): 1, (2, 2): 4, (1, 1): 2, (1, 2): 5}, "column 1 is not increasing at row 1"),
+            ((2,), {(1, 1): 0, (1, 2): 1}, "entries must be positive, got 0"),
         ],
     )
     def test_messages(self, outer, entries, message):
@@ -94,6 +97,18 @@ class TestValidation:
     def test_arbitrary_distinct_values_allowed(self):
         t = PartialTableau(skew((2,), ()), {(1, 1): 7, (1, 2): 19})
         assert t.image() == frozenset({7, 19})
+
+
+class TestMapping:
+    def test_reads_like_a_mapping_in_reading_order(self):
+        t = PartialTableau(skew((2, 1), (1,)), {(1, 2): 3, (2, 1): 1})
+        assert (t[(1, 2)], t.get((2, 1)), t.get((1, 1))) == (3, 1, None)
+        assert (1, 2) in t and (1, 1) not in t
+        assert len(t) == 2
+        assert list(t) == [(2, 1), (1, 2)]
+        twin = PartialTableau(skew((2, 1), (1,)), {(2, 1): 1, (1, 2): 3})
+        assert twin == t and hash(twin) == hash(t)
+        assert repr(t) == "PartialTableau((2,1)/(1), {(2, 1): 1, (1, 2): 3})"
 
 
 class TestBumpDestination:
@@ -131,8 +146,14 @@ class TestBumpDestination:
 
     def test_rowless_shape_rejected(self):
         t = PartialTableau(skew((), ()), {})
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
             bump_destination(t, 1)
+        with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
+            bump_route(t.shape, t._entries.__getitem__, 1, operator.lt)
+
+    def test_non_positive_value_rejected(self, example_tableau):
+        with pytest.raises(ValueError, match="^inserted value must be positive, got 0$"):
+            bump_destination(example_tableau, 0)
 
     def test_route_rows_step_by_one(self, example_tableau):
         for a in (2, 4, 7, 12):

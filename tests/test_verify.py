@@ -28,6 +28,13 @@ class TestVerifyRange:
         with pytest.raises(ValueError):
             verify_range(3, 2)
 
+    @pytest.mark.parametrize("jobs", [0, True, 1.5], ids=["zero", "true", "float"])
+    def test_a_refused_worker_count_leaves_no_cache_file(self, tmp_path, jobs):
+        path = tmp_path / "tables.json"
+        with pytest.raises(ValueError, match="expected an integer worker count of at least 1"):
+            verify_range(2, 3, jobs=jobs, cache=path)
+        assert not path.exists()
+
     def test_injected_fault_is_named(self, monkeypatch):
         # a balanced-cocorner scan that never fires drives every hook count
         # to zero, which the oracle must catch and pinpoint
