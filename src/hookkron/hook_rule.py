@@ -40,7 +40,7 @@ from .shapes import (
     remove_cell,
     transpose_cell,
 )
-from .tableaux import bump_route, delete_route
+from .tableaux import delete_route
 
 
 @dataclass(frozen=True)
@@ -88,26 +88,33 @@ def _may_have_pictures(lam: Partition, mu: Partition, zeta: Partition) -> bool:
     inside both).  Zelevinsky: the pictures X -> Y number <s_X, s_Y>, so some
     nu has c^X_nu > 0 and c^Y_nu > 0.  Every such nu lies, in dominance order,
     between the shape's sorted row lengths and the conjugate of its sorted
-    column lengths; so rows(X) <= cols(Y)' and rows(Y) <= cols(X)'.  The rows
-    of Y and the columns of X are lam_i - zeta_i and mu_i - zeta_i; the rows of
-    X and the columns of Y are mu'_j - zeta'_j and lam'_j - zeta'_j."""
-    lam_c, mu_c, zeta_c = conjugate(lam), conjugate(mu), conjugate(zeta)
-    for row_outer, col_outer, inner in ((mu_c, lam_c, zeta_c), (lam, mu, zeta)):
-        rows = sorted(map(sub, row_outer, inner + (0,) * (len(row_outer) - len(inner))))
-        cols = sorted(map(sub, col_outer, inner + (0,) * (len(col_outer) - len(inner))))
+    column lengths; so rows(X) <= cols(Y)' and rows(Y) <= cols(X)'.  Y has
+    the rows and columns of lam/zeta; X, the transpose of mu/zeta, has its
+    columns as rows and its rows as columns."""
+    (lam_rows, lam_cols), (mu_rows, mu_cols) = _profile(lam, zeta), _profile(mu, zeta)
+    for rows, cols in ((mu_cols, lam_cols), (lam_rows, mu_rows)):
         # the k largest rows against the first k parts of cols', a running sum of
-        # #{col >= k}; past the first empty row total stays put and room grows
-        j = total = room = 0
+        # #{col >= k}; past the last row total stays put and room grows, so stop
+        j, width, total, room = 0, len(cols), 0, 0
         for k, r in enumerate(reversed(rows), 1):
-            if not r:
-                break
-            while j < len(cols) and cols[j] < k:
+            while j < width and cols[j] < k:
                 j += 1
-            room += len(cols) - j
+            room += width - j
             total += r
             if total > room:
                 return False
     return True
+
+
+@functools.lru_cache(maxsize=2048)
+def _profile(outer: Partition, inner: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The non-zero row and column lengths of outer/inner, each sorted, for
+    the gate: one lam/zeta serves every mu.  Bounded: in a decomposition most
+    mu/zeta serve one lam, so an unbounded memo would grow with the run."""
+    return tuple(
+        tuple(sorted(filter(None, map(sub, out, inn + (0,) * (len(out) - len(inn))))))
+        for out, inn in ((outer, inner), (conjugate(outer), conjugate(inner)))
+    )
 
 
 def _overlaps(lam: Partition, mu: Partition, m: int) -> tuple[Partition, ...]:
@@ -134,11 +141,31 @@ def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:
 
 def balanced_cocorner(tp: TypedPicture) -> Cell | None:
     """The unique target inner cocorner that bumps onto its own transpose,
-    or None.  Scans in southwest order; the first hit is the only one."""
+    or None.  Scans in southwest order; the first hit is the only one.
+
+    Runs only the destination part of ``tableaux.bump_route`` through the
+    picture: the route climbs a row at a time, so once it passes row z[1]
+    it cannot land on z'.  The carried cell (r0, c0) is z, outside the
+    target, or the image of a lower row's cell, so it never equals a bumped
+    image, and the strict southwest test needs no inequality check."""
     p = tp.picture
+    outer, inner, image = p.source.outer, p.source.inner, p._map
+    rows_inner = len(inner)
     for z in inner_cocorners(p.target):
-        if bump_route(p.source, p._map.__getitem__, z, lt_sw).destination == transpose_cell(z):
-            return z
+        top, (r0, c0) = z[1], z
+        for i in range(len(outer), top - 1, -1):
+            lo = inner[i - 1] if i <= rows_inner else 0
+            j = outer[i - 1]
+            while j > lo:
+                r, c = image[i, j]
+                if r0 <= r and c <= c0:
+                    r0, c0 = r, c
+                    break
+                j -= 1
+            else:
+                if i == top and lo == z[0]:
+                    return z
+                break
     return None
 
 

@@ -98,17 +98,14 @@ def _validate_picture(
     if len(inv) != target.size or inv.keys() != (tgt := _shape_table(target))[0]:
         raise ValueError("mapping values must be exactly the target cells")
     for forward, pairs, what in ((mapping, src[1], "not"), (inv, tgt[1], "inverse not")):
-        bad = [
-            (a, b)
-            for a, b in pairs
-            for (r, c), (r2, c2) in [(forward[a], forward[b])]
-            if r < r2 or c > c2  # not leq_sw(forward[a], forward[b]), written out
-        ]
-        if bad:
-            # name the first failing pair in the mapping's own order, right neighbour first
-            rank = {cell: k for k, cell in enumerate(forward)}
-            a, b = min(bad, key=lambda pair: (rank[pair[0]], pair[1][0]))
-            raise ValueError(f"{what} order-preserving at {a}, {b}")
+        for x, y in pairs:
+            (r, c), (r2, c2) = forward[x], forward[y]
+            if r < r2 or c > c2:  # not leq_sw(forward[x], forward[y]), written out
+                # name the first failing pair in the mapping's own order, right neighbour first
+                bad = [(a, b) for a, b in pairs if not leq_sw(forward[a], forward[b])]
+                rank = {cell: k for k, cell in enumerate(forward)}
+                a, b = min(bad, key=lambda pair: (rank[pair[0]], pair[1][0]))
+                raise ValueError(f"{what} order-preserving at {a}, {b}")
     return inv
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import util
 import worked_examples as ex
 from hookkron import hook_rule, pictures
 from hookkron.errors import (
@@ -180,7 +181,7 @@ class TestBalancedFeatures:
 
     def test_empty_picture_is_balanced(self):
         tp = pw_set((3, 1), (3, 1), (3, 1))[0]
-        assert balanced_cocorner(tp) == (1, 3)
+        assert balanced_cocorner(tp) == (1, 3) == util.bump_balanced_cocorner(tp)
         assert balanced_corner(tp) is None
 
 
@@ -306,7 +307,8 @@ class TestHookHook:
 
 class TestStructuralInvariants:
     def test_exactness(self):
-        # every picture carries exactly one balanced feature
+        # every picture carries exactly one balanced feature; the cocorner scan
+        # agrees with the full bumping route on every picture with n <= 7
         for n in range(1, 8):
             for lam in partitions(n):
                 for mu in partitions(n):
@@ -315,6 +317,7 @@ class TestStructuralInvariants:
                             z = balanced_cocorner(tp)
                             w = balanced_corner(tp)
                             assert (z is None) != (w is None)
+                            assert z == util.bump_balanced_cocorner(tp)
 
     def test_boundary_identities(self, counts_by_pair):
         for (lam, mu), (hook, exterior) in counts_by_pair.items():
@@ -405,6 +408,20 @@ class TestOverlapGate:
     def test_gate_is_sound(self, n):
         empty, gated = empty_overlaps(n)
         assert gated <= empty
+
+    def test_memoised_gate_matches_the_formula(self):
+        # every overlap inside lam and mu for n <= 9, through one shared memo
+        for n in range(1, 10):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    for k in range(n + 1):
+                        for zeta in partitions_inside(tuple(map(min, lam, mu)), k):
+                            expected = util.gate_by_sorted_lengths(lam, mu, zeta)
+                            assert _may_have_pictures(lam, mu, zeta) == expected, (lam, mu, zeta)
+
+    def test_gate_memo_is_bounded(self):
+        # most mu/zeta serve one lam, so an unbounded memo grows with the run
+        assert hook_rule._profile.cache_info().maxsize is not None
 
     def test_gate_rejects_most_empty_overlaps(self):
         # a gate that always says "maybe" rejects none of the 2,514

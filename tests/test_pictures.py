@@ -34,7 +34,7 @@ from hookkron.pictures import (
     render_picture,
     rw_to_picture,
 )
-from hookkron.shapes import icc_bar, lt_sw, partitions, skew, transpose_shape
+from hookkron.shapes import icc_bar, leq_sw, lt_sw, partitions, skew, transpose_shape
 from hookkron.tableaux import PartialTableau, bump_destination, bump_route, row_reading
 
 
@@ -81,6 +81,32 @@ class TestPictureValidation:
     def test_malformed_mapping_messages(self, source, target, mapping, message):
         with pytest.raises(ValueError) as info:
             Picture(skew(*source), skew(*target), mapping)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "source, target, mapping, message",
+        [
+            (((3, 2), ()), ((3, 2), ()),
+             {(1, 1): (1, 3), (1, 2): (1, 2), (1, 3): (1, 1), (2, 1): (2, 2), (2, 2): (2, 1)},
+             "not order-preserving at (1, 1), (1, 2)"),
+            (((4, 3, 2, 1), (3, 2, 1)), ((4,), ()),
+             {(2, 3): (1, 2), (1, 4): (1, 1), (4, 1): (1, 4), (3, 2): (1, 3)},
+             "inverse not order-preserving at (1, 2), (1, 3)"),
+        ],
+    )
+    def test_check_stops_early_but_names_the_mapping_order_first(
+        self, source, target, mapping, message
+    ):
+        # the check meets the pairs in reading order and stops at the first bad
+        # one; here that is not the pair the message names
+        source, target = skew(*source), skew(*target)
+        inverse = message.startswith("inverse")
+        side = {y: x for x, y in mapping.items()} if inverse else mapping
+        pairs = _shape_table(target if inverse else source)[1]
+        bad = [(a, b) for a, b in pairs if not leq_sw(side[a], side[b])]
+        assert len(bad) > 2 and not message.endswith(f"at {bad[0][0]}, {bad[0][1]}")
+        with pytest.raises(ValueError) as info:
+            Picture(source, target, mapping)
         assert str(info.value) == message
 
     def test_shape_table_memo_is_bounded(self):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import sub
 from random import Random
 
 from hookkron.oracle import character_value, cycle_type_class_size
@@ -16,14 +17,17 @@ from hookkron.pictures import Picture, picture_to_rw
 from hookkron.shapes import (
     SkewShape,
     add_cell,
+    conjugate,
     contains,
+    inner_cocorners,
     leq_nw,
     leq_sw,
     partition,
     partitions,
     skew,
+    transpose_cell,
 )
-from hookkron.tableaux import PartialTableau, delete, row_reading
+from hookkron.tableaux import PartialTableau, bump_route, delete, row_reading
 
 
 def lt_sw(a, b) -> bool:
@@ -184,11 +188,42 @@ def hook_length_dimension(lam) -> int:
     """Irreducible dimension by the hook length product."""
     if not lam:
         return 1
-    from hookkron.shapes import conjugate
-
     tlam = conjugate(lam)
     result = factorial(sum(lam))
     for i in range(len(lam)):
         for j in range(lam[i]):
             result //= lam[i] - j + tlam[j] - i - 1
     return result
+
+
+def bump_balanced_cocorner(tp) -> tuple[int, int] | None:
+    """``hook_rule.balanced_cocorner`` by the full bumping route: the first
+    target inner cocorner, in southwest order, whose route ends on its transpose."""
+    p = tp.picture
+    for z in inner_cocorners(p.target):
+        if bump_route(p.source, p._map.__getitem__, z, lt_sw).destination == transpose_cell(z):
+            return z
+    return None
+
+
+def gate_by_sorted_lengths(lam, mu, zeta) -> bool:
+    """``hook_rule._may_have_pictures`` computed from the labels on every call:
+    rows(X) <= cols(Y)' and rows(Y) <= cols(X)' in dominance order, for
+    X = mu'/zeta' and Y = lam/zeta, zeta inside lam and mu."""
+    lam_c, mu_c, zeta_c = conjugate(lam), conjugate(mu), conjugate(zeta)
+    for row_outer, col_outer, inner in ((mu_c, lam_c, zeta_c), (lam, mu, zeta)):
+        rows = sorted(map(sub, row_outer, inner + (0,) * (len(row_outer) - len(inner))))
+        cols = sorted(map(sub, col_outer, inner + (0,) * (len(col_outer) - len(inner))))
+        # the k largest rows against the first k parts of cols', a running sum of
+        # #{col >= k}; past the first empty row total stays put and room grows
+        j = total = room = 0
+        for k, r in enumerate(reversed(rows), 1):
+            if not r:
+                break
+            while j < len(cols) and cols[j] < k:
+                j += 1
+            room += len(cols) - j
+            total += r
+            if total > room:
+                return False
+    return True
