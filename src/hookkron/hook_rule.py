@@ -20,7 +20,7 @@ from operator import sub
 
 from .errors import NotCoHookShapeError, NotHookShapeError, RangeError
 from .parallel import ordered_map
-from .pictures import Picture, enumerate_pictures, picture_delete, picture_insert
+from .pictures import Picture, _search, enumerate_pictures, picture_delete, picture_insert
 from .shapes import (
     Cell,
     Partition,
@@ -75,7 +75,7 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
 
 def _pictures(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]:
     """``pw_set``'s step for canonical labels with zeta inside lam and mu:
-    the gate, then the search; ``pw_m_set`` and ``_overlap_counts`` call it directly."""
+    the gate, then the search; ``pw_m_set`` and ``_table_row`` call it directly."""
     if not _may_have_pictures(lam, mu, zeta):
         return []
     source = SkewShape(conjugate(mu), conjugate(zeta))
@@ -123,14 +123,26 @@ def _overlaps(lam: Partition, mu: Partition, m: int) -> tuple[Partition, ...]:
     return partitions_inside(tuple(map(min, lam, mu)), sum(lam) - m)
 
 
-def _overlap_counts(
-    lam: Partition, mu: Partition, zeta: Partition, with_hook: bool
-) -> tuple[int | None, int]:
-    """One overlap's counts ``(ph, pw)``: its pictures with a balanced cocorner
-    (None unless ``with_hook``) and all of them; the step every count sums."""
-    pics = _pictures(lam, mu, zeta)
-    ph = sum(balanced_cocorner(tp) is not None for tp in pics) if with_hook else None
-    return ph, len(pics)
+def _zeta_counts(
+    lam: Partition, zeta: Partition, with_hook: bool
+) -> dict[Partition, tuple[int | None, int]]:
+    """One overlap's counts for every mu: per mu with a picture mu'/zeta' ->
+    lam/zeta, those with a balanced cocorner (None unless ``with_hook``) and
+    all of them.  One search from lam/zeta finds their inverses; each is
+    built, validated and scored as it is found.  Tables and verify sum it."""
+    target = SkewShape(lam, zeta)
+    tgt, inner = target.cells(), conjugate(zeta)
+    sources: dict[Partition, tuple[Partition, SkewShape]] = {}
+    counts: dict[Partition, tuple[int, int]] = {}
+    for shape, cells in _search(target, inner):
+        if shape not in sources:  # the memoised conjugates, so caches keyed by shape share them
+            mu = conjugate(shape)
+            sources[shape] = mu, SkewShape(conjugate(mu), inner)
+        mu, source = sources[shape]
+        tp = TypedPicture(lam, mu, zeta, Picture(source, target, dict(zip(cells, tgt))))
+        hits, total = counts.get(mu, (0, 0))
+        counts[mu] = hits + (with_hook and balanced_cocorner(tp) is not None), total + 1
+    return {mu: (hits if with_hook else None, total) for mu, (hits, total) in counts.items()}
 
 
 def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:
@@ -265,21 +277,32 @@ class DecompositionTable:
 
 
 def _table_row(lam: Partition, mu: Partition, m: int, with_hook: bool) -> TableRow:
-    """One table row's picture counts, per overlap and in total (``ph`` only
-    ``with_hook``); every hook and exterior-power count goes through here."""
+    """One mu's row for a single count: per overlap, the size of its gated
+    picture set and (only ``with_hook``) its pictures with a balanced cocorner."""
     by_zeta = []
     for zeta in _overlaps(lam, mu, m):
-        ph, pw = _overlap_counts(lam, mu, zeta, with_hook)
-        if pw:
-            by_zeta.append(ZetaCount(zeta, ph, pw))
+        if pics := _pictures(lam, mu, zeta):
+            ph = sum(balanced_cocorner(tp) is not None for tp in pics) if with_hook else None
+            by_zeta.append(ZetaCount(zeta, ph, len(pics)))
+    return _row(mu, by_zeta, with_hook)
+
+
+def _row(mu: Partition, by_zeta: list[ZetaCount], with_hook: bool) -> TableRow:
     ph_total = sum(zc.ph for zc in by_zeta) if with_hook else None
     return TableRow(mu, ph_total, sum(zc.pw for zc in by_zeta), tuple(by_zeta))
 
 
 def _decompose(lam: Partition, m: int, with_hook: bool, jobs: int = 1) -> DecompositionTable:
-    task = functools.partial(_table_row, lam, m=m, with_hook=with_hook)
-    rows = ordered_map(task, partitions(sum(lam)), jobs)
-    return DecompositionTable(lam, m, tuple(row for row in rows if row.pw))
+    """Every row of leg size ``m`` at once: one search per overlap serves every
+    mu, and the overlaps are fanned out."""
+    zetas = partitions_inside(lam, sum(lam) - m)
+    task = functools.partial(_zeta_counts, lam, with_hook=with_hook)
+    by_mu: dict[Partition, list[ZetaCount]] = {}
+    for zeta, counts in zip(zetas, ordered_map(task, zetas, jobs)):
+        for mu, (ph, pw) in counts.items():
+            by_mu.setdefault(mu, []).append(ZetaCount(zeta, ph, pw))
+    rows = (_row(mu, by_mu[mu], with_hook) for mu in partitions(sum(lam)) if mu in by_mu)
+    return DecompositionTable(lam, m, tuple(rows))
 
 
 def decompose_tensor_hook(lam: Partition, m: int, jobs: int = 1) -> DecompositionTable:

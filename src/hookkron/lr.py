@@ -24,7 +24,7 @@ def lr_coefficient(lam: Partition, zeta: Partition, xi: Partition) -> int:
         return lr_coefficient(lam, xi, zeta)
     if not contains(lam, zeta):
         return 0
-    return len(_search(skew(xi, ()), skew(lam, zeta)))  # counts leaves, builds no picture
+    return sum(1 for _ in _search(skew(xi, ()), zeta, lam))  # counts leaves, builds no picture
 
 
 def exterior_multiplicity_via_lr(lam: Partition, mu: Partition, m: int) -> int:

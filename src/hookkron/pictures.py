@@ -9,12 +9,12 @@ searches those tableaux directly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError
 from .shapes import (
     Cell,
+    Partition,
     SkewShape,
     _ints,
     _shape_table,
@@ -147,67 +147,75 @@ def rw_to_picture(
 
 def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
     """All pictures from ``source`` onto ``target``, one validated per search leaf."""
-    leaves = _search(source, target)
-    if not leaves:
-        return []
-    src, tgt = source.cells(), target.cells()
-    return [Picture(source, target, dict(zip(src, map(tgt.__getitem__, v)))) for v in leaves]
+    src, leaves = source.cells(), _search(source, target.inner, target.outer)
+    return [Picture(source, target, dict(zip(src, cells))) for _, cells in leaves]
 
 
-@lru_cache(maxsize=None)
-def _target_neighbours(target: SkewShape) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Left and upper neighbour ids (-1: none) per target cell; one lam/zeta serves every mu."""
-    tgt = target.cells()
-    tgt_id = {cell: k for k, cell in enumerate(tgt)}
-    t_left = tuple(tgt_id.get((r, c - 1), -1) for r, c in tgt)
-    return t_left, tuple(tgt_id.get((r - 1, c), -1) for r, c in tgt)
+def _search(
+    source: SkewShape, inner: Partition, bound: Partition | None = None
+) -> Iterator[tuple[Partition, tuple[Cell, ...]]]:
+    """Per picture from ``source`` onto a target that grows from ``inner``:
+    the target's outer shape and the target cells of the source cells.
 
-
-def _search(source: SkewShape, target: SkewShape) -> list[tuple[int, ...]]:
-    """Per picture from ``source`` onto ``target``, the target ids of the source cells.
-
-    Backtracks over Remmel-Whitney tableaux for the target's row reading:
-    source cells are filled in reading order with unused reading numbers,
-    pruning on the tableau conditions and on the adjacency conditions as soon
-    as both endpoints of a constraint are placed.  The result is ordered
-    lexicographically by the sequence of chosen numbers, so it is
-    deterministic.  A value's left and upper target neighbours must sit
-    southwest of its cell (a required successor waits for it, so none is
-    placed yet); cells fill bottom row first, so every placed cell is in a
-    lower row or further left, and only the columns need comparing.
+    Fills source cells in reading order.  A target cell is placed only after
+    its left and upper neighbours (the inverse keeps the northwest order), so
+    the placed cells and ``inner`` always form a partition.  A source cell
+    tries its addable cells, one per row, strictly above its lower neighbour's
+    image and weakly below its left neighbour's (its image falls between the
+    two in reading order), whose own left and upper neighbours come from
+    source cells weakly left: cells fill bottom row first, so only columns
+    need comparing.  With ``bound`` the target is bound/inner, and leaves come
+    lexicographically in the reading order of their images.  With none, one
+    search from lam/zeta yields the inverse of every picture onto every
+    mu'/zeta', each as soon as it is found.
     """
     n = source.size
-    if n != target.size:
-        return []
+    if bound is not None and sum(bound) - sum(inner) != n:
+        return
     src = source.cells()
     index = {cell: k for k, cell in enumerate(src)}
-    # missing neighbours read sentinel slots: chosen[-1] = -1 on the left,
-    # chosen[-2] = n below, and placed[-1] = 0, a column every test passes
-    left = [index.get((r, c - 1), -1) for r, c in src]
-    below = [index.get((r + 1, c), -2) for r, c in src]
-    t_left, t_up = _target_neighbours(target)
+    left = [index.get((r, c - 1), n) for r, c in src]
+    below = [index.get((r + 1, c), n + 1) for r, c in src]
     column = [c for _, c in src]
-    # placed[v]: the column of v's source cell, or `unused`, which fails every
-    # column test, so an unplaced predecessor stops v as well
-    unused = max(column, default=0) + 1
-    placed = [unused] * n + [0]
-    chosen = [0] * n + [n, -1]
-    leaves: list[tuple[int, ...]] = []
+    if bound is None:
+        height, width = len(inner) + n, (inner[0] if inner else 0) + n
+        limit = [width] * (height + 1)
+    else:
+        height, width = len(bound), bound[0] if bound else 0
+        limit = [0, *bound]
+    # image_row[n]: where a cell with no left neighbour starts, the row under
+    # the lowest one placed (at most the last); image_row[n + 1]: 0, no lower neighbour
+    image_row = [0] * n + [min(len(inner) + 1, height), 0]
+    # rows[r]: the partition so far, rows[0] over every row; source_column[r * w + c]:
+    # the source column of the cell placed at (r, c), 0 on inner cells, row 0 and column 0
+    rows = [width + 1, *inner] + [0] * (height - len(inner))
+    w = width + 1
+    source_column = [0] * ((height + 1) * w + 1)
+    chosen: list[Cell] = [(0, 0)] * n
 
-    def extend(k: int) -> None:
-        if k == n:
-            leaves.append(tuple(chosen[:n]))
-            return
+    def extend(k: int) -> Iterator[tuple[Partition, tuple[Cell, ...]]]:
         c = column[k]
-        for v in range(chosen[left[k]] + 1, chosen[below[k]]):
-            if placed[v] == unused and placed[t_left[v]] <= c and placed[t_up[v]] <= c:
-                placed[v] = c
-                chosen[k] = v
-                extend(k + 1)
-                placed[v] = unused
+        for r in range(image_row[left[k]], image_row[below[k]], -1):
+            x = rows[r]
+            if x < limit[r] and x < rows[r - 1]:
+                i = r * w + x
+                if source_column[i] <= c and source_column[i - w + 1] <= c:
+                    rows[r] = x + 1
+                    chosen[k] = (r, x + 1)
+                    if k + 1 == n:  # a leaf: bound is not empty here
+                        yield bound or tuple(filter(None, rows[1:])), tuple(chosen)
+                    else:
+                        source_column[i + 1] = c
+                        image_row[k] = r
+                        if r == image_row[n] < height:
+                            image_row[n] = r + 1
+                            yield from extend(k + 1)
+                            image_row[n] = r
+                        else:
+                            yield from extend(k + 1)
+                    rows[r] = x
 
-    extend(0)
-    return leaves
+    yield from extend(0) if n else [(inner, ())]
 
 
 def picture_bump_destination(p: Picture, z: Cell) -> tuple[Cell, BumpRoute]:

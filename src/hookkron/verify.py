@@ -49,16 +49,26 @@ class VerifyReport:
         return f"checks: {self.checks}, failures: {len(self.mismatches)}"
 
 
-def _verify_pair(task: tuple) -> tuple[int, list[Mismatch]]:
-    n, lam, mu = task
-    hook_counts, exterior_counts = hook_rule.picture_counts(lam, mu)
-    hook_oracle, exterior_oracle = oracle.hook_exterior_sweep(lam, mu)
-    exterior_lr = lr.exterior_sweep_via_lr(lam, mu)
-    checks = [("hook", m, hook_counts[m], hook_oracle[m]) for m in range(n)]
-    for m, counted in enumerate(exterior_counts):
-        checks.append(("exterior", m, counted, exterior_oracle[m]))
-        checks.append(("exterior-lr", m, counted, exterior_lr[m]))
-    return len(checks), [Mismatch(n, lam, mu, m, q, c, e) for q, m, c, e in checks if c != e]
+def _verify_lam(task: tuple) -> tuple[int, list[Mismatch]]:
+    """Every pair (lam, mu) of degree n: the counts of every mu come from lam's
+    decomposition tables, one per leg size, then each pair is checked."""
+    n, lam = task
+    tables = [
+        {row.mu: row for row in hook_rule._decompose(lam, m, True).rows} for m in range(n + 1)
+    ]
+    zero = hook_rule.TableRow((), 0, 0, ())
+    total, mismatches = 0, []
+    for mu in partitions(n):
+        rows = [table.get(mu, zero) for table in tables]
+        hook_oracle, exterior_oracle = oracle.hook_exterior_sweep(lam, mu)
+        exterior_lr = lr.exterior_sweep_via_lr(lam, mu)
+        checks = [("hook", m, rows[m].ph, hook_oracle[m]) for m in range(n)]
+        for m, row in enumerate(rows):
+            checks.append(("exterior", m, row.pw, exterior_oracle[m]))
+            checks.append(("exterior-lr", m, row.pw, exterior_lr[m]))
+        total += len(checks)
+        mismatches += [Mismatch(n, lam, mu, m, q, c, e) for q, m, c, e in checks if c != e]
+    return total, mismatches
 
 
 def verify_range(
@@ -84,12 +94,10 @@ def verify_range(
         # fail fast on the cap, fill the in-memory cache and bring the cache
         # file in step before any fan-out; workers then never touch the file
         oracle.character_table(n, cache=cache)
-        for lam in partitions(n):
-            for mu in partitions(n):
-                tasks.append((n, lam, mu))
+        tasks.extend((n, lam) for lam in partitions(n))
     checks = 0
     mismatches: list[Mismatch] = []
-    for pair_checks, bad in ordered_map(_verify_pair, tasks, jobs):
-        checks += pair_checks
+    for lam_checks, bad in ordered_map(_verify_lam, tasks, jobs):
+        checks += lam_checks
         mismatches.extend(bad)
     return VerifyReport(checks, tuple(mismatches))

@@ -6,7 +6,7 @@ import pytest
 
 import util
 import worked_examples as ex
-from hookkron import hook_rule, pictures
+from hookkron import hook_rule
 from hookkron.errors import (
     NotCoHookShapeError,
     NotHookShapeError,
@@ -16,8 +16,8 @@ from hookkron.errors import (
 from hookkron.hook_rule import (
     TypedPicture,
     _may_have_pictures,
-    _overlap_counts,
     _overlaps,
+    _zeta_counts,
     balanced_cocorner,
     balanced_corner,
     decompose_tensor_exterior,
@@ -428,22 +428,6 @@ class TestOverlapGate:
         empty, gated = empty_overlaps(8)
         assert empty == 2514 and gated == 2422
 
-    def test_gated_staircase_runs_fewer_searches(self, monkeypatch):
-        # ungated, this decomposition runs 1,306 searches, 240 of them empty
-        searches = []
-        search = pictures._search
-
-        def counted(source, target):
-            searches.append(target)
-            return search(source, target)
-
-        monkeypatch.setattr(pictures, "_search", counted)
-        table = decompose_tensor_hook((5, 4, 3, 2, 1), 7)
-        assert len(searches) <= 1086
-        assert len(table.rows) == 131
-        assert sum(r.ph for r in table.rows) == 7316
-        assert sum(r.pw for r in table.rows) == 13684
-
 
 class TestOverlapStep:
     def test_counts_are_the_overlap_picture_set(self):
@@ -451,6 +435,12 @@ class TestOverlapStep:
         empty = 0
         for n in range(1, 7):
             for lam in partitions(n):
+                counts = {
+                    (zeta, with_hook): _zeta_counts(lam, zeta, with_hook)
+                    for k in range(n + 1)
+                    for zeta in partitions_inside(lam, k)
+                    for with_hook in (True, False)
+                }
                 for mu in partitions(n):
                     for m in range(n + 1):
                         inside = [z for z in partitions(n - m) if contains(lam, z)]
@@ -459,7 +449,28 @@ class TestOverlapStep:
                         for zeta in overlaps:
                             pics = pw_set(lam, mu, zeta)
                             hits = sum(balanced_cocorner(tp) is not None for tp in pics)
-                            assert _overlap_counts(lam, mu, zeta, True) == (hits, len(pics))
-                            assert _overlap_counts(lam, mu, zeta, False) == (None, len(pics))
+                            # a mu without pictures is left out
+                            assert counts[zeta, True].get(mu, (0, 0)) == (hits, len(pics))
+                            assert counts[zeta, False].get(mu, (None, 0)) == (None, len(pics))
+                            assert (mu in counts[zeta, True]) == bool(pics)
                             empty += not pics
         assert empty
+
+    def test_staircase_runs_one_search_per_overlap(self, monkeypatch):
+        # one search per zeta |- 8 inside (5,4,3,2,1), each serving every mu;
+        # one per (mu, zeta) would be 1,086 searches even behind the gate
+        searches = []
+        search = hook_rule._search
+
+        def counted(source, inner, bound=None):
+            searches.append((source, bound))
+            return search(source, inner, bound)
+
+        monkeypatch.setattr(hook_rule, "_search", counted)
+        table = decompose_tensor_hook((5, 4, 3, 2, 1), 7)
+        assert len(searches) == 14
+        assert {source.outer for source, _ in searches} == {(5, 4, 3, 2, 1)}
+        assert {bound for _, bound in searches} == {None}
+        assert len(table.rows) == 131
+        assert sum(r.ph for r in table.rows) == 7316
+        assert sum(r.pw for r in table.rows) == 13684

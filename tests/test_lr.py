@@ -59,7 +59,7 @@ class TestLRCoefficient:
                         if not contains(lam, zeta):
                             continue
                         for xi in partitions(m):
-                            witness = len(_search(skew(xi, ()), skew(lam, zeta)))
+                            witness = len(list(_search(skew(xi, ()), zeta, lam)))
                             assert lr_coefficient(lam, zeta, xi) == witness
                             assert lr_coefficient(lam, xi, zeta) == witness
 
@@ -139,9 +139,9 @@ class TestExteriorSweepViaLR:
     def test_every_search_of_a_verify_sweep_starts_from_at_most_half_the_cells(self, monkeypatch):
         searched = []
 
-        def recording(source, target):
-            searched.append((source.size, sum(target.outer)))
-            return _search(source, target)
+        def recording(source, inner, bound=None):
+            searched.append((source.size, sum(bound)))
+            return _search(source, inner, bound)
 
         monkeypatch.setattr(lr, "_search", recording)
         lr_coefficient.cache_clear()  # every coefficient is searched afresh

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from operator import eq
 from random import Random
 
 import pytest
@@ -34,7 +35,17 @@ from hookkron.pictures import (
     render_picture,
     rw_to_picture,
 )
-from hookkron.shapes import icc_bar, leq_sw, lt_sw, partitions, skew, transpose_shape
+from hookkron.shapes import (
+    SkewShape,
+    conjugate,
+    contains,
+    icc_bar,
+    leq_sw,
+    lt_sw,
+    partitions,
+    partitions_inside,
+    skew,
+)
 from hookkron.tableaux import PartialTableau, bump_destination, bump_route, row_reading
 
 
@@ -270,9 +281,9 @@ class TestEnumeration:
             for target in shapes:
                 if source.size != target.size:
                     continue
-                src, tgt = source.cells(), target.cells()
-                leaves = _search(source, target)
-                assert [dict(zip(src, map(tgt.__getitem__, leaf))) for leaf in leaves] == [
+                src = source.cells()
+                leaves = _search(source, target.inner, target.outer)
+                assert [dict(zip(src, cells)) for _, cells in leaves] == [
                     dict(p.pairs()) for p in enumerate_pictures(source, target)
                 ]
 
@@ -292,6 +303,84 @@ class TestEnumeration:
                 for xi in partitions(m)
             )
             assert len(enumerate_pictures(source, target)) == total
+
+
+def bounded_leaves(source, target) -> list[tuple]:
+    """``_search`` onto ``target``: the target cells of each leaf, which must
+    all end on the target's outer shape."""
+    leaves = list(_search(source, target.inner, target.outer))
+    assert all(shape == target.outer for shape, _ in leaves)
+    return [cells for _, cells in leaves]
+
+
+def reference_leaves(source, target) -> list[tuple]:
+    """The value search's leaves, reading numbers mapped to target cells."""
+    tgt = target.cells()
+    return [tuple(map(tgt.__getitem__, leaf)) for leaf in util.value_search(source, target)]
+
+
+class TestSearch:
+    def test_bounded_leaves_equal_the_value_search_in_order(self):
+        # every pair of skew shapes up to 5 cells, sizes equal or not
+        shapes = util.small_skew_shapes(max_outer=6, max_cells=5)
+        for source in shapes:
+            for target in shapes:
+                if source.size == target.size or source.size == target.size + 1:
+                    assert bounded_leaves(source, target) == reference_leaves(source, target)
+
+    def test_empty_shapes(self):
+        empty = skew((), ())
+        assert list(_search(empty, (), ())) == [((), ())]
+        assert list(_search(empty, ())) == [((), ())]
+        assert list(_search(skew((2, 1), (2, 1)), (2,), (2,))) == [((2,), ())]
+        assert list(_search(skew((2, 1), (2, 1)), (3, 1))) == [((3, 1), ())]
+        # no cell to fill, or no room for one
+        assert list(_search(skew((1,), ()), (), ())) == []
+        assert list(_search(empty, (), (1,))) == []
+
+    def test_targets_with_an_empty_row(self):
+        # a row where outer == inner, first, in the middle or last, up to 6 cells
+        targets = [
+            SkewShape(outer, inner)
+            for n in range(2, 9)
+            for outer in partitions(n)
+            for k in range(n - 6, n)
+            for inner in partitions_inside(outer, k)
+            if any(map(eq, outer, inner))
+        ]
+        assert {skew((2, 1), (2,)), skew((2, 1, 1), (2, 1)), skew((2, 1), (1, 1))} <= set(targets)
+        sources = util.small_skew_shapes(max_outer=6, max_cells=6)
+        checked = 0
+        for target in targets:
+            for source in sources:
+                if source.size == target.size:
+                    expected = reference_leaves(source, target)
+                    assert bounded_leaves(source, target) == expected, (source, target)
+                    checked += len(expected)
+        assert checked > 1000
+
+    def test_unbounded_leaves_are_every_inverse_picture(self):
+        # one search from lam/zeta, grouped by final shape mu', gives the
+        # inverse of every bounded leaf mu'/zeta' -> lam/zeta, for every mu
+        for n in range(9):
+            for lam in partitions(n):
+                for k in range(n + 1):
+                    for zeta in partitions_inside(lam, k):
+                        source, inner = SkewShape(lam, zeta), conjugate(zeta)
+                        src = source.cells()
+                        grouped = {}
+                        for shape, cells in _search(source, inner):
+                            grouped.setdefault(shape, set()).add(frozenset(zip(cells, src)))
+                        for mu in partitions(n):
+                            if not contains(mu, zeta):
+                                continue
+                            inverse = SkewShape(conjugate(mu), inner)
+                            expected = {
+                                frozenset(zip(inverse.cells(), cells))
+                                for cells in bounded_leaves(inverse, source)
+                            }
+                            assert grouped.pop(inverse.outer, set()) == expected, (lam, zeta, mu)
+                        assert not grouped, (lam, zeta)
 
 
 class TestPictureBumping:

@@ -136,6 +136,47 @@ def brute_force_picture_maps(source: SkewShape, target: SkewShape) -> list[dict]
     return found
 
 
+def value_search(source: SkewShape, target: SkewShape) -> list[tuple[int, ...]]:
+    """The picture search over target reading numbers, kept as a reference for
+    ``pictures._search``: per picture, the target ids (reading order) of the
+    source cells, lexicographic in that sequence.  Source cells are filled in
+    reading order with unused numbers, larger than the left neighbour's and
+    smaller than the lower neighbour's; a number's left and upper target
+    neighbours must already be placed, at source cells weakly left."""
+    n = source.size
+    if n != target.size:
+        return []
+    src, tgt = source.cells(), target.cells()
+    index = {cell: k for k, cell in enumerate(src)}
+    tgt_id = {cell: k for k, cell in enumerate(tgt)}
+    # missing neighbours read sentinel slots: chosen[-1] = -1 on the left,
+    # chosen[-2] = n below, and placed[-1] = 0, a column every test passes
+    left = [index.get((r, c - 1), -1) for r, c in src]
+    below = [index.get((r + 1, c), -2) for r, c in src]
+    t_left = [tgt_id.get((r, c - 1), -1) for r, c in tgt]
+    t_up = [tgt_id.get((r - 1, c), -1) for r, c in tgt]
+    column = [c for _, c in src]
+    unused = max(column, default=0) + 1
+    placed = [unused] * n + [0]
+    chosen = [0] * n + [n, -1]
+    leaves: list[tuple[int, ...]] = []
+
+    def extend(k: int) -> None:
+        if k == n:
+            leaves.append(tuple(chosen[:n]))
+            return
+        c = column[k]
+        for v in range(chosen[left[k]] + 1, chosen[below[k]]):
+            if placed[v] == unused and placed[t_left[v]] <= c and placed[t_up[v]] <= c:
+                placed[v] = c
+                chosen[k] = v
+                extend(k + 1)
+                placed[v] = unused
+
+    extend(0)
+    return leaves
+
+
 def reading_picture_delete(p: Picture, v: tuple[int, int]) -> tuple[Picture, tuple[int, int]]:
     """Picture deletion the long way round, through the target's row reading:
     delete ``v`` from the Remmel-Whitney tableau and decode the emitted number
