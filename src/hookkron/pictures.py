@@ -183,8 +183,8 @@ def _search(
     else:
         height, width = len(bound), bound[0] if bound else 0
         limit = [0, *bound]
-    # image_row[n]: where a cell with no left neighbour starts, the row under
-    # the lowest one placed (at most the last); image_row[n + 1]: 0, no lower neighbour
+    # image_row[n]: where a cell with no left neighbour starts, the first empty
+    # row (at most row ``height``); image_row[n + 1]: 0, for no lower neighbour
     image_row = [0] * n + [min(len(inner) + 1, height), 0]
     # rows[r]: the partition so far, rows[0] over every row; source_column[r * w + c]:
     # the source column of the cell placed at (r, c), 0 on inner cells, row 0 and column 0
