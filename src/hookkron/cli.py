@@ -172,7 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--n-min", type=int, default=None, dest="n_min")
     verify.add_argument("--jobs", type=worker_count, default=1)
-    verify.add_argument("--cache", default=None, help="character table cache file")
+    verify.add_argument(
+        "--cache", default=None, help="export the character tables of the swept degrees here"
+    )
     verify.set_defaults(func=cmd_verify)
 
     render = sub.add_parser("render", help="pretty-print a tableau or picture from JSON")

@@ -5,15 +5,14 @@ border-strip recursion on beta-numbers, tensor multiplicities from the
 class-weighted triple product divided by n! with a hard zero-remainder check.
 Λ^m V, for the permutation module V, takes its character from det(1 + qσ), and
 hook_m = Λ^m V − hook_{m-1}.  Tables always come from the recursion and are
-cached in memory per degree; a small JSON file can keep a copy, of which only
-the degrees are read: it is rewritten from the recursion when it differs.
+cached in memory per degree; they can be exported to a small JSON file, which
+is never read back for a table.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -129,59 +128,38 @@ def _table(n: int) -> CharacterTable:
     return CharacterTable(n, parts, rows, sizes)
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def load_cache_file(path: str | Path, *, cap: int = DEFAULT_CAP) -> dict[int, CharacterTable]:
-    """The recursion's tables for the degrees named at ``path``, keyed by degree.
-
-    Only each entry's ``n`` is read.  A file that is not JSON, or an entry whose
-    ``n`` is not a JSON integer in 1..``cap``, is skipped with one warning line
-    on stderr, and :func:`character_table` drops it from the file; an entry that
-    is not exactly its degree's table as JSON text gets one warning line too.
-    A format version other than the JSON integer 1 raises, so a newer file is
-    never overwritten.
+def load_cache_file(path: str | Path) -> bytes | None:
+    """The bytes at ``path``, or ``None`` when there is no file; no table is
+    ever taken from them.  JSON whose ``version`` is not the JSON integer 1
+    raises, so a newer file is never overwritten.
     """
     try:
-        obj = json.loads(Path(path).read_text())
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return None
+    try:
+        obj = json.loads(data)
     except ValueError:
-        _warn(f"cache file {path} is not valid JSON; ignoring it")
-        return {}
+        return data
     version = obj.get("version") if isinstance(obj, dict) else None
     if (type(version), version) != (int, CACHE_FORMAT_VERSION):
         raise ValueError(f"unsupported cache version in {path}")
-    entries = obj.get("tables")
-    if not isinstance(entries, list):
-        _warn(f"cache file {path} has no list of tables; ignoring it")
-        return {}
-    out = {}
-    for k, entry in enumerate(entries):
-        n = entry.get("n") if isinstance(entry, dict) else None
-        if type(n) is not int or not 1 <= n <= cap:
-            _warn(f"cache file {path}: table {k + 1} is damaged; ignoring it")
-            continue
-        table = out[n] = _table(n)
-        if json.dumps(entry, sort_keys=True) != json.dumps(table.to_json(), sort_keys=True):
-            _warn(f"cache file {path}: table {k + 1} is damaged; recomputing it")
-    return out
+    return data
 
 
-def _cache_text(tables: dict[int, CharacterTable]) -> str:
-    payload = {
-        "version": CACHE_FORMAT_VERSION,
-        "tables": [tables[n].to_json() for n in sorted(tables)],
-    }
-    return json.dumps(payload) + "\n"
-
-
-def save_cache_file(path: str | Path, tables: dict[int, CharacterTable]) -> None:
-    """Write ``tables`` through a temporary file in the same directory, so an
-    interrupted write never leaves a truncated cache behind."""
+def save_cache_file(path: str | Path, tables: list[CharacterTable]) -> None:
+    """Export ``tables``, in order, to ``path`` unless its bytes are already
+    that text; any other file is replaced, save one :func:`load_cache_file`
+    refuses.  The write goes through a temporary file in the same directory,
+    so an interrupted one never leaves a truncated file behind."""
+    payload = {"version": CACHE_FORMAT_VERSION, "tables": [t.to_json() for t in tables]}
+    text = (json.dumps(payload) + "\n").encode()
+    if load_cache_file(path) == text:
+        return
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(_cache_text(tables))
+        tmp.write_bytes(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -192,8 +170,7 @@ def character_table(
 ) -> CharacterTable:
     """Full character table for degree ``n``, computed once per process.
 
-    With ``cache``, the file is rewritten whenever it is not exactly the
-    recursion's tables for the degrees it names up to ``cap``, plus ``n``.
+    With ``cache``, the table alone is exported to that file.
     """
     _ints((n, cap), "an integer degree")
     if n < 1:
@@ -202,11 +179,7 @@ def character_table(
         raise TooLargeError(f"degree {n} exceeds the cap {cap}")
     table = _table(n)
     if cache is not None:
-        on_disk = Path(cache).read_bytes() if os.path.exists(cache) else None
-        stored = load_cache_file(cache, cap=cap) if on_disk is not None else {}
-        stored[n] = table
-        if _cache_text(stored).encode() != on_disk:
-            save_cache_file(cache, stored)
+        save_cache_file(cache, [table])
     return table
 
 

@@ -160,11 +160,19 @@ def _search(
     Fills source cells in reading order.  A target cell is placed only after
     its left and upper neighbours (the inverse keeps the northwest order), so
     the placed cells and ``inner`` always form a partition.  A source cell
-    tries its addable cells, one per row, strictly above its lower neighbour's
-    image and weakly below its left neighbour's (its image falls between the
-    two in reading order), whose own left and upper neighbours come from
-    source cells weakly left: cells fill bottom row first, so only columns
-    need comparing.  With ``bound`` the target is bound/inner, and leaves come
+    k = (s, c) tries its addable cells, one per row, in the rows r with
+    row f(B) < r <= row f(L), for its image f and its lower and left
+    neighbours B = (s+1, c) and L (f(k) falls between theirs in reading
+    order).  By induction on depth, nothing else needs checking.  Were a cell
+    P of source column > c placed left of or above the candidate (r, x+1), P
+    would lie in a lower source row, so B would be a source cell
+    (inner[s+1] <= inner[s] < c < col P <= outer[s+1]) with B <=nw P.  Left
+    of it, at (r, x), the order gives row f(B) >= r, outside the window.
+    Above it, at (r-1, x+1), f(B) is some (r-1, y) with y <= x; the source
+    cell S placed at (r, y) has B <=sw S by the inverse order, so
+    S = (s+1, c') with c' > c, and again row f(B) >= r.
+
+    With ``bound`` the target is bound/inner, and leaves come
     lexicographically in the reading order of their images.  With none, one
     search from lam/zeta yields the inverse of every picture onto every
     mu'/zeta', each as soon as it is found.
@@ -176,7 +184,6 @@ def _search(
     index = {cell: k for k, cell in enumerate(src)}
     left = [index.get((r, c - 1), n) for r, c in src]
     below = [index.get((r + 1, c), n + 1) for r, c in src]
-    column = [c for _, c in src]
     if bound is None:
         height, width = len(inner) + n, (inner[0] if inner else 0) + n
         limit = [width] * (height + 1)
@@ -186,34 +193,27 @@ def _search(
     # image_row[n]: where a cell with no left neighbour starts, the first empty
     # row (at most row ``height``); image_row[n + 1]: 0, for no lower neighbour
     image_row = [0] * n + [min(len(inner) + 1, height), 0]
-    # rows[r]: the partition so far, rows[0] over every row; source_column[r * w + c]:
-    # the source column of the cell placed at (r, c), 0 on inner cells, row 0 and column 0
+    # rows[r]: the partition so far, rows[0] over every row
     rows = [width + 1, *inner] + [0] * (height - len(inner))
-    w = width + 1
-    source_column = [0] * ((height + 1) * w + 1)
     chosen: list[Cell] = [(0, 0)] * n
 
     def extend(k: int) -> Iterator[tuple[Partition, tuple[Cell, ...]]]:
-        c = column[k]
         for r in range(image_row[left[k]], image_row[below[k]], -1):
             x = rows[r]
             if x < limit[r] and x < rows[r - 1]:
-                i = r * w + x
-                if source_column[i] <= c and source_column[i - w + 1] <= c:
-                    rows[r] = x + 1
-                    chosen[k] = (r, x + 1)
-                    if k + 1 == n:  # a leaf: bound is not empty here
-                        yield bound or tuple(filter(None, rows[1:])), tuple(chosen)
+                rows[r] = x + 1
+                chosen[k] = (r, x + 1)
+                if k + 1 == n:  # a leaf: bound is not empty here
+                    yield bound or tuple(filter(None, rows[1:])), tuple(chosen)
+                else:
+                    image_row[k] = r
+                    if r == image_row[n] < height:
+                        image_row[n] = r + 1
+                        yield from extend(k + 1)
+                        image_row[n] = r
                     else:
-                        source_column[i + 1] = c
-                        image_row[k] = r
-                        if r == image_row[n] < height:
-                            image_row[n] = r + 1
-                            yield from extend(k + 1)
-                            image_row[n] = r
-                        else:
-                            yield from extend(k + 1)
-                    rows[r] = x
+                        yield from extend(k + 1)
+                rows[r] = x
 
     yield from extend(0) if n else [(inner, ())]
 

@@ -221,7 +221,7 @@ class SkewShape:
         return f"({format_partition(self.outer)})/({format_partition(self.inner)})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _reading_cells(shape: SkewShape) -> tuple[Cell, ...]:
     return tuple(cell for i in range(shape.length, 0, -1) for cell in shape.row_cells(i))
 

@@ -82,19 +82,21 @@ def verify_range(
     Both degrees must be ``int``s (``True`` and ``1.0`` refused) with
     1 <= n_min <= n_max, or a ``ValueError`` is raised; a degree above the
     oracle's cap raises :class:`TooLargeError` before any pair is counted.
-    ``jobs`` workers share the pairs, with the same report as one; ``cache``
-    names a character-table file brought in step once per degree.
+    ``jobs`` workers share the pairs, with the same report as one.  With
+    ``cache``, the tables of exactly these degrees are exported to that file
+    once, after every argument is accepted; nothing reads it back.
     """
     _ints((n_min, n_max), "an integer degree")
     if n_min < 1 or n_max < n_min:
         raise ValueError(f"bad degree range {n_min}..{n_max}")
-    check_jobs(jobs)  # before the loop below can write the cache file
-    tasks = []
-    for n in range(n_min, n_max + 1):
-        # fail fast on the cap, fill the in-memory cache and bring the cache
-        # file in step before any fan-out; workers then never touch the file
-        oracle.character_table(n, cache=cache)
-        tasks.extend((n, lam) for lam in partitions(n))
+    check_jobs(jobs)
+    # every degree meets the cap before the file is written, and the tables
+    # are in memory before any fan-out, so workers never touch the file
+    degrees = range(n_min, n_max + 1)
+    tables = [oracle.character_table(n) for n in degrees]
+    if cache is not None:
+        oracle.save_cache_file(cache, tables)
+    tasks = [(n, lam) for n in degrees for lam in partitions(n)]
     checks = 0
     mismatches: list[Mismatch] = []
     for lam_checks, bad in ordered_map(_verify_lam, tasks, jobs):

@@ -8,7 +8,7 @@ import pytest
 
 import util
 import worked_examples as ex
-from hookkron import tableaux
+from hookkron import shapes, tableaux
 from hookkron.errors import (
     InvalidCocornerError,
     NotAddableError,
@@ -120,11 +120,12 @@ class TestPictureValidation:
             Picture(source, target, mapping)
         assert str(info.value) == message
 
-    def test_shape_table_memo_is_bounded(self):
+    @pytest.mark.parametrize("memo", [_shape_table, shapes._reading_cells], ids=["table", "cells"])
+    def test_shape_memo_is_bounded(self, memo):
         # most source shapes serve one overlap, so an unbounded memo grows with the run
-        assert _shape_table.cache_info().maxsize is not None
+        assert memo.cache_info().maxsize is not None
         decompose_tensor_hook((5, 4, 3, 2, 1), 7)
-        info = _shape_table.cache_info()
+        info = memo.cache_info()
         assert info.currsize <= info.maxsize
 
     def test_identity_on_single_cell(self):

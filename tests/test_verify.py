@@ -9,6 +9,7 @@ import pytest
 import hookkron
 import hookkron.hook_rule as hook_rule
 from hookkron import oracle, parallel
+from hookkron.errors import TooLargeError
 from hookkron.verify import verify_range
 
 
@@ -33,6 +34,12 @@ class TestVerifyRange:
         path = tmp_path / "tables.json"
         with pytest.raises(ValueError, match="expected an integer worker count of at least 1"):
             verify_range(2, 3, jobs=jobs, cache=path)
+        assert not path.exists()
+
+    def test_a_range_above_the_cap_leaves_no_cache_file(self, tmp_path):
+        path = tmp_path / "tables.json"
+        with pytest.raises(TooLargeError, match="degree 10 exceeds the cap 9"):
+            verify_range(8, 10, cache=path)
         assert not path.exists()
 
     def test_injected_fault_is_named(self, monkeypatch):
