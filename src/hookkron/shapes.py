@@ -229,7 +229,8 @@ def _reading_cells(shape: SkewShape) -> tuple[Cell, ...]:
 @lru_cache(maxsize=64)
 def _shape_table(shape: SkewShape) -> tuple[frozenset[Cell], tuple[tuple[Cell, Cell], ...]]:
     """The cell set and the right/down neighbour pairs of ``shape``, in reading
-    order, right first; bounded, as most source shapes serve one overlap.  A
+    order, right first; bounded, as verify searches one overlap zeta for every
+    lam in turn, so each source mu'/zeta' recurs while the memo still holds it.  A
     skew diagram is convex (a cell between two of its cells in the northwest
     order lies in it), so these pairs generate that order, and a map into the
     southwest order or ``<``, both transitive, keeps it if it keeps them."""

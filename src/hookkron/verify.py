@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hook_rule, lr, oracle
-from .shapes import Partition, _ints, format_partition, partitions
+from .shapes import Partition, _ints, contains, format_partition, partitions
 from .parallel import check_jobs, ordered_map
 
 
@@ -49,23 +49,34 @@ class VerifyReport:
         return f"checks: {self.checks}, failures: {len(self.mismatches)}"
 
 
-def _verify_lam(task: tuple) -> tuple[int, list[Mismatch]]:
-    """Every pair (lam, mu) of degree n: the counts of every mu come from lam's
-    decomposition tables, one per leg size, then each pair is checked."""
-    n, lam = task
-    tables = [
-        {row.mu: row for row in hook_rule._decompose(lam, m, True).rows} for m in range(n + 1)
-    ]
-    zero = hook_rule.TableRow((), 0, 0, ())
+def _count_zeta(task: tuple) -> list[int]:
+    """One overlap zeta of degree n, searched from lam/zeta for every lam of n
+    that contains it in the fixed order, so consecutive searches share their
+    mu'/zeta' shape tables: flat (lam index, slot, ph, pw), slots as _check_lam reads."""
+    n, zeta = task
+    index, m = {mu: i for i, mu in enumerate(partitions(n))}, n - sum(zeta)
+    found: list[int] = []
+    for lam, i in index.items():
+        if contains(lam, zeta):
+            for mu, (ph, pw) in hook_rule._zeta_counts(lam, zeta, True).items():
+                found += i, 2 * ((n + 1) * index[mu] + m), ph, pw
+    return found
+
+
+def _check_lam(task: tuple) -> tuple[int, list[Mismatch]]:
+    """Every pair (lam, mu) of degree n, in the fixed order: ``counts`` holds
+    lam's summed counts, per mu and per leg size m = 0..n, ph then pw."""
+    n, lam, counts = task
     total, mismatches = 0, []
-    for mu in partitions(n):
-        rows = [table.get(mu, zero) for table in tables]
+    for i, mu in enumerate(partitions(n)):
+        row = counts[2 * (n + 1) * i : 2 * (n + 1) * (i + 1)]
+        ph, pw = row[::2], row[1::2]
         hook_oracle, exterior_oracle = oracle.hook_exterior_sweep(lam, mu)
         exterior_lr = lr.exterior_sweep_via_lr(lam, mu)
-        checks = [("hook", m, rows[m].ph, hook_oracle[m]) for m in range(n)]
-        for m, row in enumerate(rows):
-            checks.append(("exterior", m, row.pw, exterior_oracle[m]))
-            checks.append(("exterior-lr", m, row.pw, exterior_lr[m]))
+        checks = [("hook", m, ph[m], hook_oracle[m]) for m in range(n)]
+        for m in range(n + 1):
+            checks.append(("exterior", m, pw[m], exterior_oracle[m]))
+            checks.append(("exterior-lr", m, pw[m], exterior_lr[m]))
         total += len(checks)
         mismatches += [Mismatch(n, lam, mu, m, q, c, e) for q, m, c, e in checks if c != e]
     return total, mismatches
@@ -96,10 +107,18 @@ def verify_range(
     tables = [oracle.character_table(n) for n in degrees]
     if cache is not None:
         oracle.save_cache_file(cache, tables)
-    tasks = [(n, lam) for n in degrees for lam in partitions(n)]
+    # first every count, one task per overlap, then every check, one per lam
+    zetas = [(n, zeta) for n in degrees for k in range(n + 1) for zeta in partitions(k)]
+    sums = {n: [[0] * (2 * (n + 1) * len(partitions(n))) for _ in partitions(n)] for n in degrees}
+    for (n, _), found in zip(zetas, ordered_map(_count_zeta, zetas, jobs)):
+        quads = iter(found)
+        for i, at, ph, pw in zip(quads, quads, quads, quads):
+            sums[n][i][at] += ph
+            sums[n][i][at + 1] += pw
+    lams = [(n, lam, sums[n][i]) for n in degrees for i, lam in enumerate(partitions(n))]
     checks = 0
     mismatches: list[Mismatch] = []
-    for lam_checks, bad in ordered_map(_verify_lam, tasks, jobs):
+    for lam_checks, bad in ordered_map(_check_lam, lams, jobs):
         checks += lam_checks
         mismatches.extend(bad)
     return VerifyReport(checks, tuple(mismatches))

@@ -8,9 +8,10 @@ import pytest
 
 import hookkron
 import hookkron.hook_rule as hook_rule
-from hookkron import oracle, parallel
+from hookkron import oracle, parallel, shapes
 from hookkron.errors import TooLargeError
-from hookkron.verify import verify_range
+from hookkron.shapes import contains, partitions
+from hookkron.verify import Mismatch, verify_range
 
 
 class TestVerifyRange:
@@ -53,6 +54,53 @@ class TestVerifyRange:
             for f in report.mismatches
         )
         assert "failures" in report.summary()
+
+    def test_one_search_per_lambda_and_overlap(self, monkeypatch):
+        searched = []
+        count = hook_rule._zeta_counts
+
+        def recorder(lam, zeta, with_hook):
+            searched.append((lam, zeta))
+            return count(lam, zeta, with_hook)
+
+        monkeypatch.setattr(hook_rule, "_zeta_counts", recorder)
+        assert verify_range(1, 6).ok
+        pairs = {
+            (lam, zeta)
+            for n in range(1, 7)
+            for lam in partitions(n)
+            for k in range(n + 1)
+            for zeta in partitions(k)
+            if contains(lam, zeta)
+        }
+        assert len(searched) == len(set(searched))
+        assert set(searched) == pairs
+
+    def test_a_planted_count_is_named_where_it_was_planted(self, monkeypatch):
+        # one extra picture, with a balanced cocorner, of type ((3,2), (3,1,1); (2,1))
+        count = hook_rule._zeta_counts
+
+        def planted(lam, zeta, with_hook):
+            counts = count(lam, zeta, with_hook)
+            if (lam, zeta) == ((3, 2), (2, 1)):
+                ph, pw = counts.get((3, 1, 1), (0, 0))
+                counts[3, 1, 1] = ph + 1, pw + 1
+            return counts
+
+        monkeypatch.setattr(hook_rule, "_zeta_counts", planted)
+        report = verify_range(4, 6)
+        assert report.checks == 3603
+        assert report.mismatches == (
+            Mismatch(n=5, lam=(3, 2), mu=(3, 1, 1), m=2, quantity="hook", counted=3, expected=2),
+            Mismatch(5, (3, 2), (3, 1, 1), 2, "exterior", counted=4, expected=3),
+            Mismatch(5, (3, 2), (3, 1, 1), 2, "exterior-lr", counted=4, expected=3),
+        )
+
+    def test_the_lambdas_of_one_overlap_share_their_source_tables(self):
+        # 9,174 misses when each lambda searched all its overlaps in turn
+        shapes._shape_table.cache_clear()
+        assert verify_range(8, 9).ok
+        assert shapes._shape_table.cache_info().misses <= 1600
 
     def test_oracle_columns_come_from_the_sweep(self, monkeypatch):
         # the per-call oracle path must not come back beside the sweep
