@@ -223,7 +223,13 @@ class SkewShape:
 
 @lru_cache(maxsize=1024)
 def _reading_cells(shape: SkewShape) -> tuple[Cell, ...]:
-    return tuple(cell for i in range(shape.length, 0, -1) for cell in shape.row_cells(i))
+    outer, inner = shape.outer, shape.inner
+    rows = len(inner)
+    return tuple([
+        (i, j)
+        for i in range(len(outer), 0, -1)
+        for j in range((inner[i - 1] if i <= rows else 0) + 1, outer[i - 1] + 1)
+    ])
 
 
 @lru_cache(maxsize=64)
@@ -235,14 +241,16 @@ def _shape_table(shape: SkewShape) -> tuple[frozenset[Cell], tuple[tuple[Cell, C
     order lies in it), so these pairs generate that order, and a map into the
     southwest order or ``<``, both transitive, keeps it if it keeps them."""
     order = shape.cells()
-    cells = frozenset(order)
-    pairs = tuple(
-        ((i, j), neighbour)
-        for i, j in order
-        for neighbour in ((i, j + 1), (i + 1, j))
-        if neighbour in cells
-    )
-    return cells, pairs
+    outer = shape.outer
+    inner = shape.inner + (0,) * (len(outer) - len(shape.inner))
+    last = len(outer)
+    pairs = []
+    for i, j in order:  # each neighbour read off the row bounds, not looked up
+        if j < outer[i - 1]:
+            pairs.append(((i, j), (i, j + 1)))
+        if i < last and inner[i] < j <= outer[i]:
+            pairs.append(((i, j), (i + 1, j)))
+    return frozenset(order), tuple(pairs)
 
 
 def skew(outer: Iterable[int], inner: Iterable[int]) -> SkewShape:
@@ -261,9 +269,8 @@ def transpose_shape(s: SkewShape) -> SkewShape:
 def inner_corners(s: SkewShape) -> list[Cell]:
     """Cells of the diagram that are cocorners of the inner partition."""
     outer = s.outer
-    return [
-        (i, j) for i, j in reversed(cocorners(s.inner)) if i <= len(outer) and j <= outer[i - 1]
-    ]
+    rows = len(outer)
+    return [(i, j) for i, j in _sorted_cocorners(s.inner) if i <= rows and j <= outer[i - 1]]
 
 
 def inner_cocorners(s: SkewShape) -> list[Cell]:
@@ -274,6 +281,11 @@ def inner_cocorners(s: SkewShape) -> list[Cell]:
 @lru_cache(maxsize=None)
 def _sorted_corners(p: Partition) -> tuple[Cell, ...]:
     return tuple(reversed(corners(p)))
+
+
+@lru_cache(maxsize=None)
+def _sorted_cocorners(p: Partition) -> tuple[Cell, ...]:
+    return tuple(reversed(cocorners(p)))
 
 
 def icc_bar(s: SkewShape) -> list[Cell]:

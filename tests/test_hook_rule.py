@@ -307,8 +307,9 @@ class TestHookHook:
 
 class TestStructuralInvariants:
     def test_exactness(self):
-        # every picture carries exactly one balanced feature; the cocorner scan
-        # agrees with the full bumping route on every picture with n <= 7
+        # every picture carries exactly one balanced feature; on every picture
+        # with n <= 7 and its E-image, the cocorner and corner scans agree with
+        # the full bumping and deletion routes
         for n in range(1, 8):
             for lam in partitions(n):
                 for mu in partitions(n):
@@ -318,6 +319,10 @@ class TestStructuralInvariants:
                             w = balanced_corner(tp)
                             assert (z is None) != (w is None)
                             assert z == util.bump_balanced_cocorner(tp)
+                            assert w == util.delete_balanced_corner(tp)
+                            if z is not None:
+                                up = step_E(tp)
+                                assert balanced_corner(up) == util.delete_balanced_corner(up) == z
 
     def test_boundary_identities(self, counts_by_pair):
         for (lam, mu), (hook, exterior) in counts_by_pair.items():

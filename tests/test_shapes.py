@@ -25,6 +25,7 @@ from hookkron.oracle import (
 )
 from hookkron.shapes import (
     SkewShape,
+    _shape_table,
     add_cell,
     cocorners,
     conjugate,
@@ -169,6 +170,17 @@ class TestSkew:
         s = skew((2, 2), (1,))
         assert s.cells() == ((2, 1), (2, 2), (1, 2))
 
+    def test_one_pass_builders_match_the_row_by_row_reference(self):
+        # the pair order decides which failing pair Picture's error names
+        shapes = util.small_skew_shapes(max_outer=8, max_cells=8)
+        assert SkewShape((3, 2, 2), (2, 2)) in shapes  # an empty row between two full ones
+        assert SkewShape((3, 1, 1), (2, 1, 1)) in shapes  # trailing empty rows
+        for s in shapes:
+            cells, pairs = _shape_table(s)
+            assert s.cells() == util.row_by_row_cells(s)
+            assert cells == frozenset(s.cells())
+            assert pairs == util.probed_neighbour_pairs(s)
+
     def test_transpose_examples(self):
         assert transpose_shape(skew((4, 4, 4, 3, 2), (3, 3, 2, 1))) == skew(
             (5, 5, 4, 3), (4, 3, 2)
@@ -239,6 +251,15 @@ class TestCornerSets:
             # the other two lists are built in southwest order too, not sorted into it
             assert inner_corners(s) == sorted(inner_corners(s), key=sw_key)
             assert icc_bar(s) == sorted(icc_bar(s), key=sw_key)
+
+    def test_inner_corners_is_a_fresh_sorted_list(self):
+        # filtered from a memo on the inner partition on every call
+        for s in util.small_skew_shapes(max_outer=12, max_cells=12):
+            expected = sorted((c for c in cocorners(s.inner) if c in s), key=sw_key)
+            first = inner_corners(s)
+            assert first == expected
+            first.append((0, 0))
+            assert inner_corners(s) == expected
 
     def test_constant_time_corner_tests_match_the_list_based_ones(self):
         def listed(p, c, cells, step, what):  # the membership-list rule, as reference

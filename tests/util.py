@@ -25,9 +25,10 @@ from hookkron.shapes import (
     partition,
     partitions,
     skew,
+    sw_key,
     transpose_cell,
 )
-from hookkron.tableaux import PartialTableau, bump_route, delete, row_reading
+from hookkron.tableaux import PartialTableau, bump_route, delete, delete_route, row_reading
 
 
 def lt_sw(a, b) -> bool:
@@ -190,6 +191,24 @@ def reading_picture_delete(p: Picture, v: tuple[int, int]) -> tuple[Picture, tup
     return Picture(shrunk.shape, new_target, mapping), w
 
 
+def row_by_row_cells(shape: SkewShape) -> tuple[tuple[int, int], ...]:
+    """``shape.cells()`` built through ``row_cells``, bottom row first."""
+    return tuple(cell for i in range(shape.length, 0, -1) for cell in shape.row_cells(i))
+
+
+def probed_neighbour_pairs(shape: SkewShape) -> tuple:
+    """The right and down neighbour pairs of ``shape``: each cell's two
+    candidates, right first, probed against the cell set in reading order."""
+    order = row_by_row_cells(shape)
+    cells = frozenset(order)
+    return tuple(
+        ((i, j), neighbour)
+        for i, j in order
+        for neighbour in ((i, j + 1), (i + 1, j))
+        if neighbour in cells
+    )
+
+
 def small_skew_shapes(max_outer: int, max_cells: int) -> list[SkewShape]:
     out = []
     for n in range(0, max_outer + 1):
@@ -244,6 +263,21 @@ def bump_balanced_cocorner(tp) -> tuple[int, int] | None:
     for z in inner_cocorners(p.target):
         if bump_route(p.source, p._map.__getitem__, z, lt_sw).destination == transpose_cell(z):
             return z
+    return None
+
+
+def delete_balanced_corner(tp) -> tuple[int, int] | None:
+    """``hook_rule.balanced_corner`` by the full deletion route: the cell
+    emitted from the first source inner corner, in southwest order, whose
+    route emits its own transpose.  The inner corners are the source cells
+    with no left or upper neighbour in the source."""
+    p = tp.picture
+    cells = set(p.source.cells())
+    minimal = (c for c in cells if (c[0], c[1] - 1) not in cells and (c[0] - 1, c[1]) not in cells)
+    for v in sorted(minimal, key=sw_key):
+        route = delete_route(p.source, p._map.__getitem__, v, lt_sw)
+        if route is not None and route[1] == transpose_cell(v):
+            return route[1]
     return None
 
 
