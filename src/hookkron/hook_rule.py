@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import sub
 
 from .errors import NotCoHookShapeError, NotHookShapeError, RangeError
 from .parallel import ordered_map
@@ -75,46 +74,10 @@ def pw_set(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]
 
 def _pictures(lam: Partition, mu: Partition, zeta: Partition) -> list[TypedPicture]:
     """``pw_set``'s step for canonical labels with zeta inside lam and mu:
-    the gate, then the search; ``pw_m_set`` and ``_table_row`` call it directly."""
-    if not _may_have_pictures(lam, mu, zeta):
-        return []
+    the search from mu'/zeta' onto lam/zeta; ``pw_m_set`` calls it directly."""
     source = SkewShape(conjugate(mu), conjugate(zeta))
     target = SkewShape(lam, zeta)
     return [TypedPicture(lam, mu, zeta, p) for p in enumerate_pictures(source, target)]
-
-
-def _may_have_pictures(lam: Partition, mu: Partition, zeta: Partition) -> bool:
-    """False only when no picture maps X = mu'/zeta' onto Y = lam/zeta (zeta
-    inside both).  Zelevinsky: the pictures X -> Y number <s_X, s_Y>, so some
-    nu has c^X_nu > 0 and c^Y_nu > 0.  Every such nu lies, in dominance order,
-    between the shape's sorted row lengths and the conjugate of its sorted
-    column lengths; so rows(X) <= cols(Y)' and rows(Y) <= cols(X)'.  Y has
-    the rows and columns of lam/zeta; X, the transpose of mu/zeta, has its
-    columns as rows and its rows as columns."""
-    (lam_rows, lam_cols), (mu_rows, mu_cols) = _profile(lam, zeta), _profile(mu, zeta)
-    for rows, cols in ((mu_cols, lam_cols), (lam_rows, mu_rows)):
-        # the k largest rows against the first k parts of cols', a running sum of
-        # #{col >= k}; past the last row total stays put and room grows, so stop
-        j, width, total, room = 0, len(cols), 0, 0
-        for k, r in enumerate(reversed(rows), 1):
-            while j < width and cols[j] < k:
-                j += 1
-            room += width - j
-            total += r
-            if total > room:
-                return False
-    return True
-
-
-@functools.lru_cache(maxsize=2048)
-def _profile(outer: Partition, inner: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The non-zero row and column lengths of outer/inner, each sorted, for
-    the gate: one lam/zeta serves every mu.  Bounded: in a decomposition most
-    mu/zeta serve one lam, so an unbounded memo would grow with the run."""
-    return tuple(
-        tuple(sorted(filter(None, map(sub, out, inn + (0,) * (len(out) - len(inn))))))
-        for out, inn in ((outer, inner), (conjugate(outer), conjugate(inner)))
-    )
 
 
 def _overlaps(lam: Partition, mu: Partition, m: int) -> tuple[Partition, ...]:
@@ -124,17 +87,18 @@ def _overlaps(lam: Partition, mu: Partition, m: int) -> tuple[Partition, ...]:
 
 
 def _zeta_counts(
-    lam: Partition, zeta: Partition, with_hook: bool
+    lam: Partition, zeta: Partition, with_hook: bool, bound: Partition | None = None
 ) -> dict[Partition, tuple[int | None, int]]:
     """One overlap's counts for every mu: per mu with a picture mu'/zeta' ->
     lam/zeta, those with a balanced cocorner (None unless ``with_hook``) and
     all of them.  One search from lam/zeta finds their inverses; each is
-    built, validated and scored as it is found.  Tables and verify sum it."""
+    built, validated and scored as it is found.  Tables and verify sum it;
+    a single count passes ``bound`` = mu' and meets that mu alone."""
     target = SkewShape(lam, zeta)
     tgt, inner = target.cells(), conjugate(zeta)
     sources: dict[Partition, tuple[Partition, SkewShape]] = {}
     counts: dict[Partition, tuple[int, int]] = {}
-    for shape, cells in _search(target, inner):
+    for shape, cells in _search(target, inner, bound):
         if shape not in sources:  # the memoised conjugates, so caches keyed by shape share them
             mu = conjugate(shape)
             sources[shape] = mu, SkewShape(conjugate(mu), inner)
@@ -229,7 +193,7 @@ def multiplicity_hook(lam: Partition, mu: Partition, m: int) -> int:
 
 
 def picture_counts(lam: Partition, mu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-leg counts (hook, exterior) for m = 0..n in one enumeration sweep."""
+    """Per-leg counts (hook, exterior) for m = 0..n, one single count per leg."""
     lam, mu = canonical_labels(lam, mu)
     rows = [_table_row(lam, mu, m, with_hook=True) for m in range(sum(lam) + 1)]
     return tuple(row.ph for row in rows), tuple(row.pw for row in rows)
@@ -277,13 +241,13 @@ class DecompositionTable:
 
 
 def _table_row(lam: Partition, mu: Partition, m: int, with_hook: bool) -> TableRow:
-    """One mu's row for a single count: per overlap, the size of its gated
-    picture set and (only ``with_hook``) its pictures with a balanced cocorner."""
-    by_zeta = []
+    """One mu's row for a single count: per overlap, its pictures mu'/zeta' ->
+    lam/zeta, searched from lam/zeta bounded to mu'/zeta', and (only
+    ``with_hook``) those with a balanced cocorner."""
+    bound, by_zeta = conjugate(mu), []
     for zeta in _overlaps(lam, mu, m):
-        if pics := _pictures(lam, mu, zeta):
-            ph = sum(balanced_cocorner(tp) is not None for tp in pics) if with_hook else None
-            by_zeta.append(ZetaCount(zeta, ph, len(pics)))
+        if counts := _zeta_counts(lam, zeta, with_hook, bound):
+            by_zeta.append(ZetaCount(zeta, *counts[mu]))
     return _row(mu, by_zeta, with_hook)
 
 

@@ -1,5 +1,4 @@
 import collections
-import functools
 import json
 
 import pytest
@@ -15,7 +14,6 @@ from hookkron.errors import (
 )
 from hookkron.hook_rule import (
     TypedPicture,
-    _may_have_pictures,
     _overlaps,
     _zeta_counts,
     balanced_cocorner,
@@ -32,9 +30,8 @@ from hookkron.hook_rule import (
     step_F,
 )
 from hookkron.oracle import kronecker
-from hookkron.pictures import enumerate_pictures, rw_to_picture
+from hookkron.pictures import rw_to_picture
 from hookkron.shapes import (
-    SkewShape,
     conjugate,
     contains,
     hook_partition,
@@ -387,53 +384,6 @@ def test_picture_counts_match_pointwise():
         assert exterior[m] == multiplicity_exterior(lam, mu, m)
 
 
-@functools.lru_cache(maxsize=None)
-def empty_overlaps(n: int) -> tuple[int, int]:
-    """(empty, gated) over every lam, mu |- n and zeta inside both: how many
-    overlaps have no picture, and how many of those the gate rejects.  Checks
-    on the way that ``pw_set`` counts what the ungated search finds and that
-    the gate never rejects an overlap with a picture."""
-    empty = gated = 0
-    for lam in partitions(n):
-        for mu in partitions(n):
-            for k in range(n + 1):
-                for zeta in partitions_inside(tuple(map(min, lam, mu)), k):
-                    source = SkewShape(conjugate(mu), conjugate(zeta))
-                    count = len(enumerate_pictures(source, SkewShape(lam, zeta)))
-                    may = _may_have_pictures(lam, mu, zeta)
-                    assert len(pw_set(lam, mu, zeta)) == count, (lam, mu, zeta)
-                    assert may or count == 0, (lam, mu, zeta)
-                    empty += count == 0
-                    gated += not may
-    return empty, gated
-
-
-class TestOverlapGate:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_gate_is_sound(self, n):
-        empty, gated = empty_overlaps(n)
-        assert gated <= empty
-
-    def test_memoised_gate_matches_the_formula(self):
-        # every overlap inside lam and mu for n <= 9, through one shared memo
-        for n in range(1, 10):
-            for lam in partitions(n):
-                for mu in partitions(n):
-                    for k in range(n + 1):
-                        for zeta in partitions_inside(tuple(map(min, lam, mu)), k):
-                            expected = util.gate_by_sorted_lengths(lam, mu, zeta)
-                            assert _may_have_pictures(lam, mu, zeta) == expected, (lam, mu, zeta)
-
-    def test_gate_memo_is_bounded(self):
-        # most mu/zeta serve one lam, so an unbounded memo grows with the run
-        assert hook_rule._profile.cache_info().maxsize is not None
-
-    def test_gate_rejects_most_empty_overlaps(self):
-        # a gate that always says "maybe" rejects none of the 2,514
-        empty, gated = empty_overlaps(8)
-        assert empty == 2514 and gated == 2422
-
-
 class TestOverlapStep:
     def test_counts_are_the_overlap_picture_set(self):
         # every overlap inside lam and mu, empty ones included, for n <= 6
@@ -463,7 +413,7 @@ class TestOverlapStep:
 
     def test_staircase_runs_one_search_per_overlap(self, monkeypatch):
         # one search per zeta |- 8 inside (5,4,3,2,1), each serving every mu;
-        # one per (mu, zeta) would be 1,086 searches even behind the gate
+        # one per (mu, zeta) would be 1,086 searches
         searches = []
         search = hook_rule._search
 
@@ -479,3 +429,35 @@ class TestOverlapStep:
         assert len(table.rows) == 131
         assert sum(r.ph for r in table.rows) == 7316
         assert sum(r.pw for r in table.rows) == 13684
+
+    def test_single_rows_equal_the_overlap_picture_sets(self):
+        # every lam, mu |- n <= 8, every m, both tables: 14,944 rows
+        rows = 0
+        for n in range(1, 9):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    for m in range(n + 1):
+                        for with_hook in (True, False):
+                            expected = util.table_row_by_pw_set(lam, mu, m, with_hook)
+                            assert hook_rule._table_row(lam, mu, m, with_hook) == expected
+                            rows += 1
+        assert rows == 14944
+
+    @pytest.mark.parametrize(
+        "count, expected", [(multiplicity_hook, 451), (multiplicity_exterior, 797)]
+    )
+    def test_single_count_runs_one_bounded_search_per_overlap(self, monkeypatch, count, expected):
+        # the 16 overlaps zeta |- 9 inside (5,4,3,2,1), each searched from lam/zeta onto mu'/zeta'
+        lam, mu = (6, 4, 3, 2, 1), (5, 4, 3, 2, 1, 1)
+        searches = []
+        search = hook_rule._search
+
+        def counted(source, inner, bound=None):
+            searches.append((source, bound))
+            return search(source, inner, bound)
+
+        monkeypatch.setattr(hook_rule, "_search", counted)
+        assert count(lam, mu, 7) == expected
+        assert len(searches) == len(_overlaps(lam, mu, 7)) == 16
+        assert {source.outer for source, _ in searches} == {lam}
+        assert {bound for _, bound in searches} == {conjugate(mu)}

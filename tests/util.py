@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from operator import sub
 from random import Random
 
+from hookkron.hook_rule import TableRow, ZetaCount, _overlaps, balanced_cocorner, pw_set
 from hookkron.oracle import character_value, cycle_type_class_size
 from hookkron.pictures import Picture, picture_to_rw
 from hookkron.shapes import (
@@ -281,24 +281,13 @@ def delete_balanced_corner(tp) -> tuple[int, int] | None:
     return None
 
 
-def gate_by_sorted_lengths(lam, mu, zeta) -> bool:
-    """``hook_rule._may_have_pictures`` computed from the labels on every call:
-    rows(X) <= cols(Y)' and rows(Y) <= cols(X)' in dominance order, for
-    X = mu'/zeta' and Y = lam/zeta, zeta inside lam and mu."""
-    lam_c, mu_c, zeta_c = conjugate(lam), conjugate(mu), conjugate(zeta)
-    for row_outer, col_outer, inner in ((mu_c, lam_c, zeta_c), (lam, mu, zeta)):
-        rows = sorted(map(sub, row_outer, inner + (0,) * (len(row_outer) - len(inner))))
-        cols = sorted(map(sub, col_outer, inner + (0,) * (len(col_outer) - len(inner))))
-        # the k largest rows against the first k parts of cols', a running sum of
-        # #{col >= k}; past the first empty row total stays put and room grows
-        j = total = room = 0
-        for k, r in enumerate(reversed(rows), 1):
-            if not r:
-                break
-            while j < len(cols) and cols[j] < k:
-                j += 1
-            room += len(cols) - j
-            total += r
-            if total > room:
-                return False
-    return True
+def table_row_by_pw_set(lam, mu, m: int, with_hook: bool) -> TableRow:
+    """``hook_rule._table_row`` by the per-overlap picture sets: per overlap
+    zeta, ``pw_set`` and ``balanced_cocorner`` on each of its pictures."""
+    by_zeta = []
+    for zeta in _overlaps(lam, mu, m):
+        if pics := pw_set(lam, mu, zeta):
+            ph = sum(balanced_cocorner(tp) is not None for tp in pics) if with_hook else None
+            by_zeta.append(ZetaCount(zeta, ph, len(pics)))
+    ph_total = sum(zc.ph for zc in by_zeta) if with_hook else None
+    return TableRow(mu, ph_total, sum(zc.pw for zc in by_zeta), tuple(by_zeta))
