@@ -430,18 +430,19 @@ class TestOverlapStep:
         assert sum(r.ph for r in table.rows) == 7316
         assert sum(r.pw for r in table.rows) == 13684
 
-    def test_single_rows_equal_the_overlap_picture_sets(self):
-        # every lam, mu |- n <= 8, every m, both tables: 14,944 rows
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_rows_equal_the_overlap_picture_sets(self, n):
+        # every lam, mu |- n, every m, both tables: p(n)^2 (n + 1) 2 rows,
+        # 14,944 over n <= 8
         rows = 0
-        for n in range(1, 9):
-            for lam in partitions(n):
-                for mu in partitions(n):
-                    for m in range(n + 1):
-                        for with_hook in (True, False):
-                            expected = util.table_row_by_pw_set(lam, mu, m, with_hook)
-                            assert hook_rule._table_row(lam, mu, m, with_hook) == expected
-                            rows += 1
-        assert rows == 14944
+        for lam in partitions(n):
+            for mu in partitions(n):
+                for m in range(n + 1):
+                    for with_hook in (True, False):
+                        expected = util.table_row_by_pw_set(lam, mu, m, with_hook)
+                        assert hook_rule._table_row(lam, mu, m, with_hook) == expected
+                        rows += 1
+        assert rows == {1: 4, 2: 24, 3: 72, 4: 250, 5: 588, 6: 1694, 7: 3600, 8: 8712}[n]
 
     @pytest.mark.parametrize(
         "count, expected", [(multiplicity_hook, 451), (multiplicity_exterior, 797)]
@@ -461,3 +462,29 @@ class TestOverlapStep:
         assert len(searches) == len(_overlaps(lam, mu, 7)) == 16
         assert {source.outer for source, _ in searches} == {lam}
         assert {bound for _, bound in searches} == {conjugate(mu)}
+
+    def test_picture_counts_run_one_bounded_search_per_leg_and_overlap(self, monkeypatch):
+        # one search per (m, zeta), bounded to mu'/zeta'; the overlap picture
+        # sets are never built
+        lam, mu = (4, 2, 1), (3, 2, 1, 1)
+        searches = []
+        search = hook_rule._search
+
+        def counted(source, inner, bound=None):
+            searches.append((source, bound))
+            return search(source, inner, bound)
+
+        def unused(*args):
+            raise AssertionError("single counts build no overlap picture set")
+
+        monkeypatch.setattr(hook_rule, "_search", counted)
+        monkeypatch.setattr(hook_rule, "_pictures", unused)
+        hook, exterior = picture_counts(lam, mu)
+        assert len(searches) == sum(len(_overlaps(lam, mu, m)) for m in range(8))
+        assert {source.outer for source, _ in searches} == {lam}
+        assert {bound for _, bound in searches} == {conjugate(mu)}
+        monkeypatch.undo()
+        for m in range(8):
+            assert hook[m] == util.table_row_by_pw_set(lam, mu, m, True).ph
+            assert exterior[m] == util.table_row_by_pw_set(lam, mu, m, False).pw
+        assert sum(exterior)
