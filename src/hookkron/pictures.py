@@ -3,8 +3,10 @@
 A picture is a bijection between two skew diagrams that carries the northwest
 order to the southwest order in both directions.  Composing with a reading of
 the target turns a picture into a tableau satisfying the Remmel-Whitney
-adjacency conditions, and that correspondence is one-to-one; enumeration
-searches those tableaux directly.
+adjacency conditions, and that correspondence is one-to-one.  Enumeration
+does not search those tableaux: :func:`_search` places the target cells as a
+growing partition.  The search over reading numbers is kept as the test
+reference ``tests/util.py::value_search``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .shapes import (
     add_cell,
     format_cell,
     icc_bar,
-    inner_cocorners,
-    inner_corners,
     leq_sw,
     lt_sw,
     remove_cell,
@@ -34,7 +34,6 @@ from .tableaux import (
     bump_route,
     carry_out_delete,
     carry_out_insert,
-    delete_route,
     render_grid,
     row_reading,
 )
@@ -254,23 +253,6 @@ def picture_delete(p: Picture, v: Cell) -> tuple[Picture, Cell]:
     new_source, mapping, w = carry_out_delete(p.source, p._map, v, lt_sw)
     new_target = SkewShape(p.target.outer, add_cell(p.target.inner, w))
     return Picture(new_source, new_target, mapping), w
-
-
-def addable_cocorners(p: Picture) -> list[Cell]:
-    """Target inner cocorners whose bump destination is a source inner cocorner."""
-    out = []
-    source_icc = set(inner_cocorners(p.source))
-    for z in inner_cocorners(p.target):
-        destination, _ = picture_bump_destination(p, z)
-        if destination in source_icc:
-            out.append(z)
-    return out
-
-
-def removable_corners(p: Picture) -> list[Cell]:
-    """Source inner corners at which :func:`picture_delete` succeeds."""
-    entry = p._map.__getitem__
-    return [v for v in inner_corners(p.source) if delete_route(p.source, entry, v, lt_sw)]
 
 
 def picture_to_json(p: Picture) -> dict:

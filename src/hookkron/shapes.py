@@ -133,11 +133,6 @@ def lt_sw(a: Cell, b: Cell) -> bool:
     return a != b and b[0] <= a[0] and a[1] <= b[1]
 
 
-def sw_key(c: Cell) -> tuple[int, int]:
-    """Sort key that lists pairwise southwest-comparable cells in ascending order."""
-    return (-c[0], c[1])
-
-
 def corners(p: Partition) -> list[Cell]:
     """Cells whose removal leaves a partition diagram, one per row, top row first."""
     last = len(p)

@@ -241,20 +241,6 @@ def delete_route(
     return tuple(cells), carry
 
 
-def removable_corners(t: PartialTableau) -> list[Cell]:
-    """Inner corners at which :func:`delete` succeeds, in southwest order."""
-    entry = t._entries.__getitem__
-    return [v for v in inner_corners(t.shape) if delete_route(t.shape, entry, v, operator.lt)]
-
-
-def tableau_to_json(t: PartialTableau) -> dict:
-    return {
-        "outer": list(t.shape.outer),
-        "inner": list(t.shape.inner),
-        "entries": [[cell[0], cell[1], v] for cell, v in t.items()],
-    }
-
-
 def tableau_from_json(obj: dict) -> PartialTableau:
     shape = skew(_ints(obj["outer"]), _ints(obj["inner"]))
     entries = {(r, c): v for r, c, v in map(_ints, obj["entries"])}

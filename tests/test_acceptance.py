@@ -22,12 +22,10 @@ from hookkron.hook_rule import (
     step_F,
 )
 from hookkron.pictures import (
-    addable_cocorners,
     enumerate_pictures,
     picture_bump_destination,
     picture_delete,
     picture_insert,
-    removable_corners as picture_removable_corners,
     rw_to_picture,
 )
 from hookkron.shapes import (
@@ -44,8 +42,6 @@ from hookkron.tableaux import (
     bump_destination,
     delete,
     insert,
-    removable_corners,
-    tableau_to_json,
 )
 from hookkron.verify import verify_range
 
@@ -94,7 +90,7 @@ def test_criterion_2_insertion_deletion_bitexact():
             [1, 5, 6],
         ],
     }
-    assert json.dumps(tableau_to_json(grown)) == json.dumps(expected_grown)
+    assert json.dumps(util.tableau_to_json(grown)) == json.dumps(expected_grown)
 
     shrunk, value = delete(t, (3, 3))
     assert value == 5
@@ -108,7 +104,7 @@ def test_criterion_2_insertion_deletion_bitexact():
             [1, 5, 6],
         ],
     }
-    assert json.dumps(tableau_to_json(shrunk)) == json.dumps(expected_shrunk)
+    assert json.dumps(util.tableau_to_json(shrunk)) == json.dumps(expected_shrunk)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"ACCEPTANCE 2 (insertion/deletion bit-exact, {elapsed:.3f}s): PASS")
@@ -224,7 +220,7 @@ def _tableau_lemma_checks(rng: Random, checks: Counter) -> None:
     t = util.random_tableau(rng, shape)
     image = set(t.image())
     free = [v for v in range(1, 3 * shape.size + 5) if v not in image]
-    corners = removable_corners(t)
+    corners = util.removable_corners(t)
     outputs = {v: delete(t, v)[1] for v in corners}
 
     a, b = sorted(rng.sample(free, 2))
@@ -257,7 +253,7 @@ def _tableau_lemma_checks(rng: Random, checks: Counter) -> None:
     if corners:
         v = corners[rng.randrange(len(corners))]
         shrunk, b1 = delete(t, v)
-        for v2 in removable_corners(shrunk):
+        for v2 in util.removable_corners(shrunk):
             b2 = delete(shrunk, v2)[1]
             if lt_sw(v, v2):
                 assert b1 < b2
@@ -300,7 +296,7 @@ def _picture_pool() -> list:
 def _picture_lemma_checks(rng: Random, p, checks: Counter) -> None:
     boundary = icc_bar(p.target)
     destinations = {z: picture_bump_destination(p, z)[0] for z in boundary}
-    corners = picture_removable_corners(p)
+    corners = util.removable_corners(p)
     outputs = {v: picture_delete(p, v)[1] for v in corners}
 
     for i in range(len(boundary)):
@@ -313,7 +309,7 @@ def _picture_lemma_checks(rng: Random, p, checks: Counter) -> None:
             assert leq_sw(outputs[corners[i]], outputs[corners[j]])
             checks["p2"] += 1
 
-    usable = addable_cocorners(p)
+    usable = util.addable_cocorners(p)
     if usable:
         z = usable[rng.randrange(len(usable))]
         u = destinations[z]
@@ -330,7 +326,7 @@ def _picture_lemma_checks(rng: Random, p, checks: Counter) -> None:
         v = corners[rng.randrange(len(corners))]
         w = outputs[v]
         shrunk, _ = picture_delete(p, v)
-        for v2 in picture_removable_corners(shrunk):
+        for v2 in util.removable_corners(shrunk):
             w2 = picture_delete(shrunk, v2)[1]
             if lt_sw(v, v2):
                 assert lt_sw(w, w2)

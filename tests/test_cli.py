@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import hookkron
+import util
 import worked_examples as ex
 from hookkron import shapes
 from hookkron.cli import main
-from hookkron.tableaux import PartialTableau, tableau_to_json
+from hookkron.tableaux import PartialTableau
 from hookkron.shapes import skew
 
 
@@ -355,7 +356,7 @@ class TestRender:
     def test_tableau_grid(self, capsys, tmp_path):
         t = PartialTableau(skew(ex.T_OUTER, ex.T_INNER), ex.T_ENTRIES)
         path = tmp_path / "t.json"
-        path.write_text(json.dumps(tableau_to_json(t)))
+        path.write_text(json.dumps(util.tableau_to_json(t)))
         code, out, _ = run_cli(capsys, "render", "--in", str(path))
         assert code == 0
         assert out == (

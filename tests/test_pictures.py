@@ -23,7 +23,6 @@ from hookkron.pictures import (
     Picture,
     _search,
     _shape_table,
-    addable_cocorners,
     enumerate_pictures,
     picture_bump_destination,
     picture_delete,
@@ -31,7 +30,6 @@ from hookkron.pictures import (
     picture_insert,
     picture_to_json,
     picture_to_rw,
-    removable_corners,
     render_picture,
     rw_to_picture,
 )
@@ -167,6 +165,14 @@ class TestPictureValidation:
                     assert all(p[p.inverse(y)] == y for y in target.cells())
                     pictures += 1
         assert pictures == 1953
+
+    def test_iteration_repr_and_foreign_equality(self, example_picture, example_tableau):
+        p = example_picture
+        assert list(p) == list(p.source.cells())
+        assert repr(p) == "Picture((5,5,4,3)/(4,3,2) -> (5,5,4,2,1)/(3,3,2,1), 8 cells)"
+        for value in (p, example_tableau):
+            assert value.__eq__(1) is NotImplemented
+            assert value != 1
 
 
 class TestRemmelWhitneyCorrespondence:
@@ -401,7 +407,7 @@ class TestPictureBumping:
         with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
             picture_bump_destination(p, (1, 1))
         with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
-            addable_cocorners(p)
+            util.addable_cocorners(p)
         with pytest.raises(RangeError, match="^cannot bump into a shape with no rows$"):
             bump_route(p.source, p.__getitem__, (1, 1), lt_sw)
 
@@ -491,7 +497,7 @@ class TestPictureInsertDelete:
             (skew((3, 1, 1), (1,)), skew((2, 2, 1), (1,))),
         ]:
             for p in enumerate_pictures(source, target):
-                blocked = set(inner_corners(p.source)) - set(removable_corners(p))
+                blocked = set(inner_corners(p.source)) - set(util.removable_corners(p))
                 for v in blocked:
                     hit = True
                     with pytest.raises(NotRemovableError):
@@ -504,12 +510,12 @@ class TestPictureInsertDelete:
             (skew((2, 2, 1), ()), skew((3, 2), ())),
         ]:
             for p in enumerate_pictures(source, target):
-                for z in addable_cocorners(p):
+                for z in util.addable_cocorners(p):
                     destination, _ = picture_bump_destination(p, z)
                     grown = picture_insert(p, z)
                     back, out = picture_delete(grown, destination)
                     assert back == p and out == z
-                for v in removable_corners(p):
+                for v in util.removable_corners(p):
                     shrunk, out = picture_delete(p, v)
                     assert picture_insert(shrunk, out) == p
 
@@ -527,11 +533,11 @@ class TestPictureInsertDelete:
                 # even entries leave an unused odd value between any two
                 rw = picture_to_rw(p, row_reading(p.target))
                 t = PartialTableau(p.source, {x: 2 * v for x, v in rw.items()})
-                for z in addable_cocorners(p):
+                for z in util.addable_cocorners(p):
                     grown = picture_insert(p, z)
                     assert [grown.source, grown.target] == rebuilt(grown.source, grown.target)
                     steps += 1
-                for v in removable_corners(p):
+                for v in util.removable_corners(p):
                     shrunk, _ = picture_delete(p, v)
                     assert [shrunk.source, shrunk.target] == rebuilt(shrunk.source, shrunk.target)
                     shrunk_t, _ = tableaux.delete(t, v)
@@ -555,7 +561,7 @@ class TestPictureInsertDelete:
             if source.size != target.size:
                 continue
             for p in enumerate_pictures(source, target):
-                removable = removable_corners(p)
+                removable = util.removable_corners(p)
                 for v in inner_corners(p.source):
                     probes += 1
                     try:

@@ -45,7 +45,6 @@ from hookkron.shapes import (
     partitions_inside,
     remove_cell,
     skew,
-    sw_key,
     transpose_shape,
 )
 from hookkron.verify import verify_range
@@ -213,7 +212,7 @@ class TestCornerSets:
         # the diagram of lam/lam is empty but its inner boundary is not
         s = skew((3, 1), (3, 1))
         assert inner_corners(s) == []
-        assert inner_cocorners(s) == sorted([(1, 3), (2, 1)], key=sw_key)
+        assert inner_cocorners(s) == sorted([(1, 3), (2, 1)], key=util.sw_key)
         assert icc_bar(s) == inner_cocorners(s)
 
     def test_alternation_small_shapes(self):
@@ -224,7 +223,7 @@ class TestCornerSets:
             ic = inner_corners(s)
             bar = icc_bar(s)
             merged = sorted(
-                [(c, "w") for c in ic] + [(c, "z") for c in bar], key=lambda t: sw_key(t[0])
+                [(c, "w") for c in ic] + [(c, "z") for c in bar], key=lambda t: util.sw_key(t[0])
             )
             if not merged:
                 continue
@@ -245,17 +244,17 @@ class TestCornerSets:
         # served from a memo on the inner partition, copied on every call
         for s in util.small_skew_shapes(max_outer=6, max_cells=6):
             first = inner_cocorners(s)
-            assert first == sorted(corners(s.inner), key=sw_key)
+            assert first == sorted(corners(s.inner), key=util.sw_key)
             first.append((0, 0))
-            assert inner_cocorners(s) == sorted(corners(s.inner), key=sw_key)
+            assert inner_cocorners(s) == sorted(corners(s.inner), key=util.sw_key)
             # the other two lists are built in southwest order too, not sorted into it
-            assert inner_corners(s) == sorted(inner_corners(s), key=sw_key)
-            assert icc_bar(s) == sorted(icc_bar(s), key=sw_key)
+            assert inner_corners(s) == sorted(inner_corners(s), key=util.sw_key)
+            assert icc_bar(s) == sorted(icc_bar(s), key=util.sw_key)
 
     def test_inner_corners_is_a_fresh_sorted_list(self):
         # filtered from a memo on the inner partition on every call
         for s in util.small_skew_shapes(max_outer=12, max_cells=12):
-            expected = sorted((c for c in cocorners(s.inner) if c in s), key=sw_key)
+            expected = sorted((c for c in cocorners(s.inner) if c in s), key=util.sw_key)
             first = inner_corners(s)
             assert first == expected
             first.append((0, 0))

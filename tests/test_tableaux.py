@@ -22,11 +22,9 @@ from hookkron.tableaux import (
     bump_route,
     delete,
     insert,
-    removable_corners,
     render_tableau,
     row_reading,
     tableau_from_json,
-    tableau_to_json,
 )
 
 
@@ -236,7 +234,7 @@ class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(tableaux_st())
     def test_delete_then_insert(self, t):
-        for v in removable_corners(t):
+        for v in util.removable_corners(t):
             shrunk, value = delete(t, v)
             route = bump_destination(shrunk, value)
             assert route.destination == v
@@ -263,7 +261,7 @@ class TestBumpingLemmasSpot:
         rng = Random(11)
         for _ in range(200):
             t = util.random_tableau(rng, util.random_skew_shape(rng, max_outer=7))
-            corners = removable_corners(t)
+            corners = util.removable_corners(t)
             for i in range(len(corners)):
                 for j in range(i + 1, len(corners)):
                     _, b1 = delete(t, corners[i])
@@ -273,14 +271,14 @@ class TestBumpingLemmasSpot:
 
 class TestSerialisation:
     def test_json_round_trip(self, example_tableau):
-        obj = tableau_to_json(example_tableau)
+        obj = util.tableau_to_json(example_tableau)
         assert obj["outer"] == [5, 5, 4, 3]
         assert obj["inner"] == [4, 3, 2]
         assert obj["entries"][0] == [4, 1, 1]
         assert tableau_from_json(json.loads(json.dumps(obj))) == example_tableau
 
     def test_entries_in_reading_order(self, example_tableau):
-        obj = tableau_to_json(example_tableau)
+        obj = util.tableau_to_json(example_tableau)
         assert obj["entries"] == [
             [4, 1, 1], [4, 2, 5], [4, 3, 10],
             [3, 3, 3], [3, 4, 11],

@@ -8,24 +8,25 @@ straight from character inner products.
 from __future__ import annotations
 
 import itertools
+import operator
 from math import factorial
 from random import Random
 
 from hookkron.hook_rule import TableRow, ZetaCount, _overlaps, balanced_cocorner, pw_set
 from hookkron.oracle import character_value, cycle_type_class_size
-from hookkron.pictures import Picture, picture_to_rw
+from hookkron.pictures import Picture, picture_bump_destination, picture_to_rw
 from hookkron.shapes import (
     SkewShape,
     add_cell,
     conjugate,
     contains,
     inner_cocorners,
+    inner_corners,
     leq_nw,
     leq_sw,
     partition,
     partitions,
     skew,
-    sw_key,
     transpose_cell,
 )
 from hookkron.tableaux import PartialTableau, bump_route, delete, delete_route, row_reading
@@ -33,6 +34,11 @@ from hookkron.tableaux import PartialTableau, bump_route, delete, delete_route, 
 
 def lt_sw(a, b) -> bool:
     return a != b and leq_sw(a, b)
+
+
+def sw_key(c) -> tuple[int, int]:
+    """Sort key that lists pairwise southwest-comparable cells in ascending order."""
+    return (-c[0], c[1])
 
 
 def brute_force_partitions(n: int) -> tuple[tuple[int, ...], ...]:
@@ -189,6 +195,34 @@ def reading_picture_delete(p: Picture, v: tuple[int, int]) -> tuple[Picture, tup
     new_target = skew(p.target.outer, add_cell(p.target.inner, w))
     mapping = {x: tgt_cells[value - 1] for x, value in shrunk.items()}
     return Picture(shrunk.shape, new_target, mapping), w
+
+
+def addable_cocorners(p: Picture) -> list[tuple[int, int]]:
+    """Target inner cocorners whose bump destination is a source inner cocorner."""
+    source_icc = set(inner_cocorners(p.source))
+    return [
+        z for z in inner_cocorners(p.target) if picture_bump_destination(p, z)[0] in source_icc
+    ]
+
+
+def removable_corners(x: PartialTableau | Picture) -> list[tuple[int, int]]:
+    """Inner corners, in southwest order, at which deletion succeeds: from a
+    tableau by ``<`` on its entries, from a picture's source by the strict
+    southwest order on its images."""
+    if isinstance(x, Picture):
+        shape, entry, lt = x.source, x._map.__getitem__, lt_sw
+    else:
+        shape, entry, lt = x.shape, x._entries.__getitem__, operator.lt
+    return [v for v in inner_corners(shape) if delete_route(shape, entry, v, lt)]
+
+
+def tableau_to_json(t: PartialTableau) -> dict:
+    """The tableau JSON that ``hookkron render`` reads."""
+    return {
+        "outer": list(t.shape.outer),
+        "inner": list(t.shape.inner),
+        "entries": [[cell[0], cell[1], v] for cell, v in t.items()],
+    }
 
 
 def row_by_row_cells(shape: SkewShape) -> tuple[tuple[int, int], ...]:
