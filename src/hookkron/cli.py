@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .hook_rule import (
     DecompositionTable,
@@ -50,7 +51,9 @@ def _print_table(table: DecompositionTable, fmt: str) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    table = args.decompose(parse_partition(args.lam), args.m, jobs=args.jobs)
+    # named per call, not held by the parser, so a rebinding of either name takes effect
+    decompose = decompose_tensor_hook if args.command == "decompose" else decompose_tensor_exterior
+    table = decompose(parse_partition(args.lam), args.m, jobs=args.jobs)
     _print_table(table, args.format)
     return 0
 
@@ -134,23 +137,25 @@ def worker_count(text: str) -> int:
     return jobs
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no command's library function."""
     parser = argparse.ArgumentParser(
         prog="hookkron",
         description="Tensor multiplicities for symmetric groups with a hook factor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, decompose, help_text in (
-        ("decompose", decompose_tensor_hook, "decompose lambda tensor the hook of leg m"),
-        ("exterior", decompose_tensor_exterior, "decompose lambda tensor the m-th exterior power"),
+    for name, help_text in (
+        ("decompose", "decompose lambda tensor the hook of leg m"),
+        ("exterior", "decompose lambda tensor the m-th exterior power"),
     ):
         table = sub.add_parser(name, help=help_text)
         table.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
         table.add_argument("--m", type=int, required=True)
         table.add_argument("--format", choices=("json", "tsv", "ascii"), default="ascii")
         table.add_argument("--jobs", type=worker_count, default=1)
-        table.set_defaults(func=cmd_table, decompose=decompose)
+        table.set_defaults(func=cmd_table)
 
     pictures = sub.add_parser("pictures", help="enumerate pictures of one overlap")
     pictures.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")

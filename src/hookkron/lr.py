@@ -1,17 +1,20 @@
 """Littlewood-Richardson coefficients via picture counting.
 
 With a straight source shape the picture count collapses to a single LR
-coefficient, so the one picture search serves both purposes.  Values are
-memoized; the double sum over restriction labels repeats queries heavily.
+coefficient, so the one picture search serves both purposes.  The double sum
+over restriction labels expands each skew shape once, onto every straight shape.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 from .errors import SizeMismatchError
 from .pictures import _search
-from .shapes import Partition, canonical_labels, conjugate, contains, partitions_inside, skew
+from .shapes import Partition, _conjugate, canonical_labels, contains, partitions_inside, skew
 
 
 @lru_cache(maxsize=None)
@@ -38,14 +41,25 @@ def exterior_sweep_via_lr(lam: Partition, mu: Partition) -> list[int]:
     return list(_exterior_via_lr(lam, mu, range(sum(lam) + 1)))
 
 
+@lru_cache(maxsize=None)
+def _expansion(lam: Partition, kappa: Partition) -> Counter:
+    """c^λ_{κν} for every ν, keyed by ν: one search from λ/κ onto every ν/∅."""
+    return Counter(nu for nu, _ in _search(skew(lam, kappa), ()))
+
+
 def _exterior_via_lr(lam: Partition, mu: Partition, ms: range):
-    """The LR double sum for each m in ``ms``; c^λ_{ζξ} vanishes unless ζ and ξ fit inside λ."""
-    zeta_bound, xi_bound = tuple(map(min, lam, mu)), tuple(map(min, lam, conjugate(mu)))
+    """The LR double sum for each m in ``ms``: expansions over the larger lower label, of
+    at most n/2 cells each, dotted; c^λ_{ζξ} vanishes unless ζ and ξ fit inside λ."""
+    n, zeros = sum(lam), repeat(0)
+    zeta_bound, xi_bound = tuple(map(min, lam, mu)), tuple(map(min, lam, _conjugate(mu)))
     for m in ms:
-        xis = [(xi, conjugate(xi)) for xi in partitions_inside(xi_bound, m)]
         total = 0
-        for zeta in partitions_inside(zeta_bound, sum(lam) - m):
-            for xi, xi_t in xis:
-                if left := lr_coefficient(lam, zeta, xi):
-                    total += left * lr_coefficient(mu, zeta, xi_t)
+        if 2 * m <= n:  # Σ_ζ Σ_ξ E(λ,ζ)[ξ]·E(μ,ζ)[ξ′]
+            for zeta in partitions_inside(zeta_bound, n - m):
+                left, right = _expansion(lam, zeta), _expansion(mu, zeta)
+                total += sum(map(mul, left.values(), map(right.get, map(_conjugate, left), zeros)))
+        else:  # Σ_ξ Σ_ζ E(λ,ξ)[ζ]·E(μ,ξ′)[ζ]
+            for xi in partitions_inside(xi_bound, m):
+                left, right = _expansion(lam, xi), _expansion(mu, _conjugate(xi))
+                total += sum(map(mul, left.values(), map(right.get, left, zeros)))
         yield total

@@ -197,9 +197,13 @@ def _multiplicity(total: int, n: int, *labels) -> int:
 
 def _exterior(table: CharacterTable, lam: Partition, mu: Partition, ms: range) -> list[int]:
     """Multiplicities of ``mu`` in ``lam`` tensored with Λ^m V, for each m in ``ms``,
-    from w_σ = χ^λ(σ)·χ^μ(σ) and the table's exterior columns."""
-    w = [a * b for a, b in zip(table.rows[table.index(lam)], table.rows[table.index(mu)])]
-    columns = table.exterior_columns
+    from w_σ = χ^λ(σ)·χ^μ(σ) and the table's exterior columns.  The labels are
+    canonical, and :func:`_multiplicity` runs only to word a failed division."""
+    index, rows, columns = _part_index(table.n), table.rows, table.exterior_columns
+    w = [a * b for a, b in zip(rows[index[lam]], rows[index[mu]])]
+    found = [divmod(sum(map(mul, w, columns[m])), factorial(table.n)) for m in ms]
+    if all(quotient >= 0 and not remainder for quotient, remainder in found):
+        return [quotient for quotient, _ in found]
     return [_multiplicity(sum(map(mul, w, columns[m])), table.n, lam, mu, f"Λ^{m}") for m in ms]
 
 

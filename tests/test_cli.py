@@ -460,6 +460,25 @@ class TestRender:
 
 
 class TestUsage:
+    def test_parser_is_built_once_and_names_each_command_per_call(self, capsys, monkeypatch):
+        from hookkron import cli
+
+        cli._build_parser.cache_clear()
+        argv = ("decompose", "--lambda", "2,1", "--m", "1")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        real, seen = cli.decompose_tensor_hook, []
+
+        def recorded(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        # patched after the first call has built and cached the parser
+        monkeypatch.setattr(cli, "decompose_tensor_hook", recorded)
+        assert run_cli(capsys, *argv) == first
+        assert seen == [((2, 1), 1)]
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys, )[0] == 2
 

@@ -63,6 +63,21 @@ class TestLRCoefficient:
                             assert lr_coefficient(lam, zeta, xi) == witness
                             assert lr_coefficient(lam, xi, zeta) == witness
 
+    def test_a_single_coefficient_stays_one_bounded_search(self, monkeypatch):
+        # expanding (10,...,1)/(9,...,1) gives 9,496 leaves; the search from (10) gives one
+        leaves = []
+
+        def recording(source, inner, bound=None):
+            for leaf in _search(source, inner, bound):
+                leaves.append(leaf)
+                yield leaf
+
+        monkeypatch.setattr(lr, "_search", recording)
+        lr_coefficient.cache_clear()
+        staircase = tuple(range(10, 0, -1))
+        assert lr_coefficient(staircase, staircase[1:], (10,)) == 1
+        assert len(leaves) == 1
+
     def test_transpose_symmetry(self):
         for n in range(1, 8):
             for lam in partitions(n):
@@ -85,6 +100,19 @@ class TestLRCoefficient:
                             if c:
                                 total += c * dimension(zeta) * dimension(xi)
                     assert total == dimension(lam)
+
+
+class TestExpansion:
+    def test_equals_the_single_coefficients(self):
+        for n in range(0, 9):
+            for lam in partitions(n):
+                for k in range(n + 1):
+                    for kappa in partitions(k):
+                        if not contains(lam, kappa):
+                            continue
+                        single = {xi: lr_coefficient(lam, kappa, xi) for xi in partitions(n - k)}
+                        expected = {xi: c for xi, c in single.items() if c}
+                        assert dict(lr._expansion(lam, kappa)) == expected, (lam, kappa)
 
 
 class TestExteriorViaLR:
@@ -140,11 +168,17 @@ class TestExteriorSweepViaLR:
         searched = []
 
         def recording(source, inner, bound=None):
-            searched.append((source.size, sum(bound)))
+            n = sum(source.outer) if bound is None else sum(bound)
+            searched.append((source.size, n, (source.outer, source.inner), inner))
             return _search(source, inner, bound)
 
         monkeypatch.setattr(lr, "_search", recording)
-        lr_coefficient.cache_clear()  # every coefficient is searched afresh
+        lr_coefficient.cache_clear()  # every coefficient and expansion is searched afresh
+        lr._expansion.cache_clear()
         assert verify_range(1, 7).ok
         assert searched
-        assert all(cells <= n // 2 for cells, n in searched)
+        assert all(cells <= n // 2 for cells, n, _, _ in searched)
+        # one expansion per (λ, κ), each onto every straight shape
+        shapes = [shape for _, _, shape, _ in searched]
+        assert len(shapes) == len(set(shapes))
+        assert all(inner == () for *_, inner in searched)
