@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NotCoHookShapeError, NotHookShapeError, RangeError
 from .parallel import ordered_map
-from .pictures import Picture, _search, enumerate_pictures, picture_delete, picture_insert
+from .pictures import Picture, _search, enumerate_pictures
 from .shapes import (
     Cell,
     Partition,
@@ -28,6 +28,7 @@ from .shapes import (
     canonical_labels,
     conjugate,
     contains,
+    format_cell,
     format_partition,
     inner_cocorners,
     inner_corners,
@@ -39,7 +40,7 @@ from .shapes import (
     remove_cell,
     transpose_cell,
 )
-from .tableaux import delete_route
+from .tableaux import apply_delete, bump_route, carry_out_insert, delete_route
 
 
 @dataclass(frozen=True)
@@ -148,11 +149,16 @@ def balanced_cocorner(tp: TypedPicture) -> Cell | None:
 def balanced_corner(tp: TypedPicture) -> Cell | None:
     """The target-side cell emitted by the unique self-transpose deletion,
     or None.  The deleted source corner is the transpose of the result."""
+    return route[1] if (route := _balanced_deletion(tp)) else None
+
+
+def _balanced_deletion(tp: TypedPicture) -> tuple[tuple[Cell, ...], Cell] | None:
+    """The delete route behind :func:`balanced_corner`, for ``step_F`` to carry out."""
     p = tp.picture
     for v in inner_corners(p.source):
         route = delete_route(p.source, p._map.__getitem__, v, lt_sw)
         if route is not None and route[1] == transpose_cell(v):
-            return route[1]
+            return route
     return None
 
 
@@ -164,20 +170,24 @@ def step_E(tp: TypedPicture) -> TypedPicture:
             f"picture of type ({format_partition(tp.lam)}, {format_partition(tp.mu)}; "
             f"{format_partition(tp.zeta)}) has no balanced cocorner"
         )
-    return TypedPicture(tp.lam, tp.mu, remove_cell(tp.zeta, z), picture_insert(tp.picture, z))
+    # z is an inner cocorner of the target, so picture_insert's checks would all pass
+    route = bump_route(tp.picture.source, tp.picture._map.__getitem__, z, lt_sw)
+    source, mapping = carry_out_insert(tp.picture.source, tp.picture._map, route, format_cell(z))
+    zeta = remove_cell(tp.zeta, z)
+    return TypedPicture(tp.lam, tp.mu, zeta, Picture(source, SkewShape(tp.lam, zeta), mapping))
 
 
 def step_F(tp: TypedPicture) -> TypedPicture:
     """Delete at the balanced corner: leg size m shrinks by one."""
-    w = balanced_corner(tp)
-    if w is None:
+    route = _balanced_deletion(tp)
+    if route is None:
         raise NotCoHookShapeError(
             f"picture of type ({format_partition(tp.lam)}, {format_partition(tp.mu)}; "
             f"{format_partition(tp.zeta)}) has no balanced corner"
         )
-    shrunk, emitted = picture_delete(tp.picture, transpose_cell(w))
-    assert emitted == w
-    return TypedPicture(tp.lam, tp.mu, add_cell(tp.zeta, w), shrunk)
+    source, mapping, w = apply_delete(tp.picture.source, tp.picture._map, route)
+    zeta = add_cell(tp.zeta, w)
+    return TypedPicture(tp.lam, tp.mu, zeta, Picture(source, SkewShape(tp.lam, zeta), mapping))
 
 
 def multiplicity_exterior(lam: Partition, mu: Partition, m: int) -> int:

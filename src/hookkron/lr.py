@@ -14,17 +14,21 @@ from operator import mul
 
 from .errors import SizeMismatchError
 from .pictures import _search
-from .shapes import Partition, _conjugate, canonical_labels, contains, partitions_inside, skew
+from .shapes import Partition, _conjugate, canonical_labels, contains, partition, partitions_inside, skew
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient(lam: Partition, zeta: Partition, xi: Partition) -> int:
     """Multiplicity of the ``zeta`` x ``xi`` outer product inside the
     restriction of the ``lam`` irreducible to the Young subgroup."""
+    return _lr_coefficient(partition(lam), partition(zeta), partition(xi))
+
+
+@lru_cache(maxsize=None)
+def _lr_coefficient(lam: Partition, zeta: Partition, xi: Partition) -> int:
     if sum(zeta) + sum(xi) != sum(lam):
         raise SizeMismatchError(f"need |zeta| + |xi| = |lam|: {zeta}, {xi}, {lam}")
     if 2 * sum(xi) > sum(lam):  # the product commutes: search from the smaller straight shape
-        return lr_coefficient(lam, xi, zeta)
+        return _lr_coefficient(lam, xi, zeta)
     if not contains(lam, zeta):
         return 0
     return sum(1 for _ in _search(skew(xi, ()), zeta, lam))  # counts leaves, builds no picture

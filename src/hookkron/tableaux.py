@@ -209,11 +209,18 @@ def carry_out_delete(
     route = delete_route(shape, entries.__getitem__, v, lt)
     if route is None:
         raise NotRemovableError(f"{format_cell(v)} is not removable from {shape}")
+    return apply_delete(shape, entries, route)
+
+
+def apply_delete(
+    shape: SkewShape, entries: Mapping[Cell, T], route: tuple[tuple[Cell, ...], T]
+) -> tuple[SkewShape, dict[Cell, T], T]:
+    """:func:`carry_out_delete` along ``route``, a :func:`delete_route` taken as found."""
     cells, out = route
     moved = dict(entries)
     moved.update(zip(cells[1:], [entries[cell] for cell in cells[:-1]]))
-    del moved[v]
-    return SkewShape(shape.outer, add_cell(shape.inner, v)), moved, out
+    del moved[cells[0]]
+    return SkewShape(shape.outer, add_cell(shape.inner, cells[0])), moved, out
 
 
 def delete_route(

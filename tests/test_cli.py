@@ -216,12 +216,24 @@ class TestPictures:
 
 
 class TestLr:
-    def test_value(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "lr", "--lambda", "2,1", "--zeta", "1", "--xi", "1,1"
-        )
-        assert code == 0
-        assert out == "1\n"
+    @pytest.mark.parametrize(
+        "lam, zeta, xi, out",
+        [
+            ("2,1", "1", "1,1", "1\n"),
+            ("4,3,2,1", "3,1", "3,2,1", "3\n"),
+            ("4,3,2,1", "3,2,1", "3,1", "3\n"),
+            ("3,2,1", "2,1", "2,1,0", "2\n"),
+            ("3,2,1", "2,1", "3", "1\n"),
+        ],
+    )
+    def test_output(self, capsys, lam, zeta, xi, out):
+        code, got, err = run_cli(capsys, "lr", "--lambda", lam, "--zeta", zeta, "--xi", xi)
+        assert (code, got, err) == (0, out, "")
+
+    def test_not_a_partition_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "lr", "--lambda", "1,2", "--zeta", "1", "--xi", "2")
+        assert (code, out) == (2, "")
+        assert "weakly decreasing" in err
 
     def test_size_mismatch_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "lr", "--lambda", "2,1", "--zeta", "1", "--xi", "1")

@@ -5,7 +5,7 @@ import pytest
 
 import util
 import worked_examples as ex
-from hookkron import hook_rule
+from hookkron import hook_rule, pictures, tableaux
 from hookkron.errors import (
     NotCoHookShapeError,
     NotHookShapeError,
@@ -205,6 +205,56 @@ class TestSteps:
             step_E(third)
         with pytest.raises(NotCoHookShapeError):
             step_F(first)
+
+    def test_steps_equal_the_public_path(self):
+        # on every picture with n <= 7, the route that a step's scan found gives
+        # what picture_insert / picture_delete give with all of their checks
+        steps = 0
+        for n in range(1, 8):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    for m in range(n + 1):
+                        for tp in pw_m_set(lam, mu, m):
+                            if balanced_cocorner(tp) is not None:
+                                assert step_E(tp) == util.step_E_by_picture_insert(tp)
+                            else:
+                                assert step_F(tp) == util.step_F_by_picture_delete(tp)
+                            steps += 1
+        assert steps == 2_240  # every picture of n <= 7, each stepped once
+
+    def test_each_step_runs_its_route_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        names = ("bump_route", "delete_route", "icc_bar", "inner_corners", "picture_bump_destination")
+        for module in (hook_rule, pictures, tableaux):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        sides = collections.Counter()
+        for lam in partitions(6):
+            for m in range(7):
+                for tp in pw_m_set(lam, (3, 2, 1), m):
+                    hook_side = balanced_cocorner(tp) is not None
+                    sides[hook_side] += 1
+                    calls.clear()
+                    if hook_side:
+                        step_E(tp)
+                        assert calls == {"bump_route": 1}
+                    else:
+                        balanced_corner(tp)
+                        alone = dict(calls)
+                        calls.clear()
+                        step_F(tp)
+                        assert calls == alone
+                        assert set(alone) == {"delete_route", "inner_corners"}
+        assert sides[True] and sides[False]
 
 
 class TestMultiplicities:

@@ -28,6 +28,29 @@ class TestLRCoefficient:
         with pytest.raises(SizeMismatchError):
             lr_coefficient((3, 1), (1,), (1,))
 
+    @pytest.mark.parametrize("position", range(3))
+    def test_list_and_zero_padded_labels_equal_tuples(self, position):
+        canonical = [(3, 2, 1), (2, 1), (2, 1)]
+        assert lr_coefficient(*canonical) == 2
+        for spelling in (list(canonical[position]), (*canonical[position], 0)):
+            labels = list(canonical)
+            labels[position] = spelling
+            assert lr_coefficient(*labels) == 2
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ((1, 2), (1,), (2,)),  # sizes agree: without the rule this counted 0
+            ((2.0, 1), (1,), (2,)),
+            ((2, 1), (True,), (2,)),
+            ((2, 1), (1,), (0, 2)),
+        ],
+    )
+    def test_a_label_that_is_not_a_partition_raises_value_error(self, labels):
+        with pytest.raises(ValueError, match="partition parts|integer part") as caught:
+            lr_coefficient(*labels)
+        assert not isinstance(caught.value, SizeMismatchError)
+
     def test_against_character_oracle(self):
         for n in range(1, 7):
             for lam in partitions(n):
@@ -73,7 +96,7 @@ class TestLRCoefficient:
                 yield leaf
 
         monkeypatch.setattr(lr, "_search", recording)
-        lr_coefficient.cache_clear()
+        lr._lr_coefficient.cache_clear()
         staircase = tuple(range(10, 0, -1))
         assert lr_coefficient(staircase, staircase[1:], (10,)) == 1
         assert len(leaves) == 1
@@ -173,7 +196,7 @@ class TestExteriorSweepViaLR:
             return _search(source, inner, bound)
 
         monkeypatch.setattr(lr, "_search", recording)
-        lr_coefficient.cache_clear()  # every coefficient and expansion is searched afresh
+        lr._lr_coefficient.cache_clear()  # every coefficient and expansion is searched afresh
         lr._expansion.cache_clear()
         assert verify_range(1, 7).ok
         assert searched

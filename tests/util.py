@@ -12,9 +12,23 @@ import operator
 from math import factorial
 from random import Random
 
-from hookkron.hook_rule import TableRow, ZetaCount, _overlaps, balanced_cocorner, pw_set
+from hookkron.hook_rule import (
+    TableRow,
+    TypedPicture,
+    ZetaCount,
+    _overlaps,
+    balanced_cocorner,
+    balanced_corner,
+    pw_set,
+)
 from hookkron.oracle import character_value, cycle_type_class_size
-from hookkron.pictures import Picture, picture_bump_destination, picture_to_rw
+from hookkron.pictures import (
+    Picture,
+    picture_bump_destination,
+    picture_delete,
+    picture_insert,
+    picture_to_rw,
+)
 from hookkron.shapes import (
     SkewShape,
     add_cell,
@@ -26,6 +40,7 @@ from hookkron.shapes import (
     leq_sw,
     partition,
     partitions,
+    remove_cell,
     skew,
     transpose_cell,
 )
@@ -313,6 +328,23 @@ def delete_balanced_corner(tp) -> tuple[int, int] | None:
         if route is not None and route[1] == transpose_cell(v):
             return route[1]
     return None
+
+
+def step_E_by_picture_insert(tp) -> TypedPicture:
+    """``hook_rule.step_E`` through the public ``picture_insert``, with all
+    of its checks: insert at the balanced cocorner."""
+    z = balanced_cocorner(tp)
+    return TypedPicture(tp.lam, tp.mu, remove_cell(tp.zeta, z), picture_insert(tp.picture, z))
+
+
+def step_F_by_picture_delete(tp) -> TypedPicture:
+    """``hook_rule.step_F`` through the public ``picture_delete``, with all
+    of its checks: delete at the transpose of the balanced corner, which the
+    deletion must emit."""
+    w = balanced_corner(tp)
+    shrunk, emitted = picture_delete(tp.picture, transpose_cell(w))
+    assert emitted == w
+    return TypedPicture(tp.lam, tp.mu, add_cell(tp.zeta, w), shrunk)
 
 
 def table_row_by_pw_set(lam, mu, m: int, with_hook: bool) -> TableRow:
