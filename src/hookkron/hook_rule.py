@@ -24,6 +24,7 @@ from .shapes import (
     Cell,
     Partition,
     SkewShape,
+    _ints,
     add_cell,
     canonical_labels,
     conjugate,
@@ -297,9 +298,10 @@ def hook_hook_multiplicity(e: int, f: int, m: int, n: int) -> int:
     ``f`` in the product of the hook with leg ``e`` and the hook with leg
     ``m``, all of degree ``n``.  Always 0 or 1, supported on the leg interval
     fixed by ``e`` and ``f``."""
+    _ints((e, f), "an integer leg")  # True and 1.0 would pass the range check as 1
+    label_size(_ints((n,), "an integer degree"), m=m)  # the leg rule for degree n
     if not (0 <= 2 * e <= n and 2 * f <= n and e <= f):
         raise RangeError(f"need 2e <= n, 2f <= n, e <= f: e={e}, f={f}, n={n}")
-    label_size((n,), m=m)  # the leg rule for degree n
     i = m - (f - e)
     if i < 0:
         return 0

@@ -1,8 +1,8 @@
 """Littlewood-Richardson coefficients via picture counting.
 
-With a straight source shape the picture count collapses to a single LR
-coefficient, so the one picture search serves both purposes.  The double sum
-over restriction labels expands each skew shape once, onto every straight shape.
+The pictures from λ/κ onto a straight shape ν number c^λ_{κν}: one search
+bounded to ν counts a single coefficient, and one unbounded search expands λ/κ
+onto every straight shape for the double sum over restriction labels.
 """
 
 from __future__ import annotations
@@ -20,18 +20,13 @@ from .shapes import Partition, _conjugate, canonical_labels, contains, partition
 def lr_coefficient(lam: Partition, zeta: Partition, xi: Partition) -> int:
     """Multiplicity of the ``zeta`` x ``xi`` outer product inside the
     restriction of the ``lam`` irreducible to the Young subgroup."""
-    return _lr_coefficient(partition(lam), partition(zeta), partition(xi))
-
-
-@lru_cache(maxsize=None)
-def _lr_coefficient(lam: Partition, zeta: Partition, xi: Partition) -> int:
+    lam, zeta, xi = partition(lam), partition(zeta), partition(xi)
     if sum(zeta) + sum(xi) != sum(lam):
         raise SizeMismatchError(f"need |zeta| + |xi| = |lam|: {zeta}, {xi}, {lam}")
-    if 2 * sum(xi) > sum(lam):  # the product commutes: search from the smaller straight shape
-        return _lr_coefficient(lam, xi, zeta)
-    if not contains(lam, zeta):
+    kappa, nu = (zeta, xi) if 2 * sum(xi) <= sum(lam) else (xi, zeta)  # κ: the larger label
+    if not contains(lam, kappa):
         return 0
-    return sum(1 for _ in _search(skew(xi, ()), zeta, lam))  # counts leaves, builds no picture
+    return sum(1 for _ in _search(skew(lam, kappa), (), nu))  # counts leaves, builds no picture
 
 
 def exterior_multiplicity_via_lr(lam: Partition, mu: Partition, m: int) -> int:

@@ -241,7 +241,7 @@ class TestLr:
         assert "lam" in err or "size" in err.lower()
 
     def test_a_deep_lr_input_searches_from_the_empty_shape(self, capsys):
-        # c^λ_{ζξ} = c^λ_{ξζ}: the search starts from the smaller of ζ and ξ, here ()
+        # c^λ_{ζξ} = c^λ_{ξζ}: either order searches λ less the larger label, (1200)/(1200)
         for zeta, xi in (("0", "1200"), ("1200", "0")):
             code, out, err = run_cli(capsys, "lr", "--lambda", "1200", "--zeta", zeta, "--xi", xi)
             assert (code, out, err) == (0, "1\n", "")

@@ -341,6 +341,21 @@ class TestHookHook:
         with pytest.raises(RangeError):
             hook_hook_multiplicity(2, 4, 1, 6)
 
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            ((0.5, 1, 1, 4), "an integer leg"),  # passed the range check and counted 1
+            ((0, 1.0, 1, 4), "an integer leg"),
+            ((True, 1, 1, 4), "an integer leg"),
+            ((0, "1", 1, 4), "an integer leg"),  # raised TypeError from the comparison
+            ((0, 1, 1, 4.0), "an integer degree"),  # was reported as a partition part
+        ],
+        ids=["float-e", "float-f", "bool-e", "str-f", "float-n"],
+    )
+    def test_a_leg_or_degree_that_is_not_an_int_raises_value_error(self, args, what):
+        with pytest.raises(ValueError, match=f"expected {what},"):
+            hook_hook_multiplicity(*args)
+
     def test_agreement_small(self):
         for n in range(2, 7):
             for e in range(n // 2 + 1):

@@ -7,7 +7,7 @@ from hookkron.hook_rule import multiplicity_exterior
 from hookkron.lr import exterior_multiplicity_via_lr, exterior_sweep_via_lr, lr_coefficient
 from hookkron.oracle import dimension, hook_exterior_sweep
 from hookkron.pictures import _search, enumerate_pictures
-from hookkron.shapes import conjugate, contains, partitions, skew
+from hookkron.shapes import SkewShape, conjugate, contains, partitions, skew
 from hookkron.verify import verify_range
 
 
@@ -73,8 +73,8 @@ class TestLRCoefficient:
                             assert lr_coefficient(lam, zeta, xi) == len(pictures)
 
     def test_symmetry_in_the_lower_labels(self):
-        # lr_coefficient searches from the smaller lower label; the witness
-        # searches from the larger one, so the two orientations meet only here
+        # lr_coefficient searches from λ less the larger lower label; the witness
+        # searches from the straight ξ onto λ/ζ, the one straight-shape search left
         for n in range(1, 9):
             for lam in partitions(n):
                 for m in range(n // 2, n + 1):
@@ -87,7 +87,7 @@ class TestLRCoefficient:
                             assert lr_coefficient(lam, xi, zeta) == witness
 
     def test_a_single_coefficient_stays_one_bounded_search(self, monkeypatch):
-        # expanding (10,...,1)/(9,...,1) gives 9,496 leaves; the search from (10) gives one
+        # expanding (10,...,1)/(9,...,1) gives 9,496 leaves; bounded to (10) it gives one
         leaves = []
 
         def recording(source, inner, bound=None):
@@ -96,10 +96,28 @@ class TestLRCoefficient:
                 yield leaf
 
         monkeypatch.setattr(lr, "_search", recording)
-        lr._lr_coefficient.cache_clear()
         staircase = tuple(range(10, 0, -1))
         assert lr_coefficient(staircase, staircase[1:], (10,)) == 1
         assert len(leaves) == 1
+
+    def test_one_bounded_search_from_lam_less_the_larger_label(self, monkeypatch):
+        calls = []
+
+        def recording(source, inner, bound=None):
+            calls.append((source, inner, bound))
+            return _search(source, inner, bound)
+
+        monkeypatch.setattr(lr, "_search", recording)
+        for n in range(7):
+            for lam in partitions(n):
+                for m in range(n + 1):
+                    for zeta in partitions(n - m):
+                        for xi in partitions(m):
+                            calls.clear()
+                            lr_coefficient(lam, zeta, xi)
+                            kappa, nu = (zeta, xi) if 2 * m <= n else (xi, zeta)
+                            one = [(SkewShape(lam, kappa), (), nu)]
+                            assert calls == (one if contains(lam, kappa) else []), (lam, zeta, xi)
 
     def test_transpose_symmetry(self):
         for n in range(1, 8):
@@ -196,8 +214,7 @@ class TestExteriorSweepViaLR:
             return _search(source, inner, bound)
 
         monkeypatch.setattr(lr, "_search", recording)
-        lr._lr_coefficient.cache_clear()  # every coefficient and expansion is searched afresh
-        lr._expansion.cache_clear()
+        lr._expansion.cache_clear()  # every expansion is searched afresh
         assert verify_range(1, 7).ok
         assert searched
         assert all(cells <= n // 2 for cells, n, _, _ in searched)

@@ -1,7 +1,8 @@
-"""The README's paper-to-code table names only what exists.
+"""The README's paper-to-code table names only what exists, and its library
+example gives the results its comments state.
 
-Every function it names is an attribute of its ``hookkron`` module, every
-test id is a test function (or a class's test method) in its file under
+Every function the table names is an attribute of its ``hookkron`` module,
+every test id is a test function (or a class's test method) in its file under
 ``tests/``, and every ``hookkron ...`` command exits 0 with some output.
 """
 
@@ -68,3 +69,22 @@ def test_every_named_command_runs(command, capsys):
     assert main(shlex.split(command)[1:]) == 0
     captured = capsys.readouterr()
     assert captured.out and not captured.err
+
+
+def test_the_library_example_gives_its_commented_results():
+    text = ROOT.joinpath("README.md").read_text()
+    source = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, checked = source.splitlines(), {}, []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        try:
+            expected = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            continue  # a description, such as "tableau on (5,5,4,3)/(4,2,2)"
+        assert value == expected, (ast.get_source_segment(source, node), value)
+        checked.append(expected)
+    assert checked == [((4, 2), (3, 3), (2, 3)), 2, 2, True]
