@@ -161,6 +161,8 @@ def save_cache_file(path: str | Path, tables: list[CharacterTable]) -> None:
     try:
         tmp.write_bytes(text)
         os.replace(tmp, path)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
 

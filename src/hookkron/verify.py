@@ -3,7 +3,8 @@
 For every ordered pair of partitions of each degree in range, the hook-side
 and exterior-side counts must equal the multiplicities that one
 exterior-character sweep of the oracle computes, and the exterior-side count
-also the LR double sum.  Any mismatch is reported with its full coordinates.
+also the LR double sum, each swept once per unordered pair (both are symmetric
+in the two labels).  Any mismatch is reported with its full coordinates.
 """
 
 from __future__ import annotations
@@ -52,33 +53,42 @@ class VerifyReport:
 def _count_zeta(task: tuple) -> list[int]:
     """One overlap zeta of degree n, searched from lam/zeta for every lam of n
     that contains it in the fixed order, so consecutive searches share their
-    mu'/zeta' shape tables: flat (lam index, slot, ph, pw), slots as _check_lam reads."""
+    mu'/zeta' shape tables: flat (task, slot, ph, pw), filed as _check_lam reads."""
     n, zeta = task
     index, m = {mu: i for i, mu in enumerate(partitions(n))}, n - sum(zeta)
     found: list[int] = []
     for lam, i in index.items():
         if contains(lam, zeta):
             for mu, (ph, pw) in hook_rule._zeta_counts(lam, zeta, True).items():
-                found += i, 2 * ((n + 1) * index[mu] + m), ph, pw
+                a, b = sorted((i, j := index[mu]))
+                found += a, 2 * ((n + 1) * (2 * (b - a) + (i > j)) + m), ph, pw
     return found
 
 
-def _check_lam(task: tuple) -> tuple[int, list[Mismatch]]:
-    """Every pair (lam, mu) of degree n, in the fixed order: ``counts`` holds
-    lam's summed counts, per mu and per leg size m = 0..n, ph then pw."""
-    n, lam, counts = task
+def _check_lam(task: tuple) -> tuple[int, list[tuple[int, int, Mismatch]]]:
+    """Every pair (lam_a, mu_b) of degree n with b >= a, and its swap: ``counts``
+    holds their summed counts, slot 2(b - a) for (lam_a, mu_b) and the next for
+    (lam_b, mu_a), per leg size m = 0..n, ph then pw.  The swap shares the one
+    oracle and one LR sweep: w = chi^lam chi^mu is the same product in either
+    order, and the LR double sum turns into its swap when xi and xi' trade places."""
+    n, a, counts = task
+    parts, width = partitions(n), 2 * (n + 1)
     total, mismatches = 0, []
-    for i, mu in enumerate(partitions(n)):
-        row = counts[2 * (n + 1) * i : 2 * (n + 1) * (i + 1)]
-        ph, pw = row[::2], row[1::2]
-        hook_oracle, exterior_oracle = oracle.hook_exterior_sweep(lam, mu)
-        exterior_lr = lr.exterior_sweep_via_lr(lam, mu)
-        checks = [("hook", m, ph[m], hook_oracle[m]) for m in range(n)]
-        for m in range(n + 1):
-            checks.append(("exterior", m, pw[m], exterior_oracle[m]))
-            checks.append(("exterior-lr", m, pw[m], exterior_lr[m]))
-        total += len(checks)
-        mismatches += [Mismatch(n, lam, mu, m, q, c, e) for q, m, c, e in checks if c != e]
+    for b in range(a, len(parts)):
+        hook_oracle, exterior_oracle = oracle.hook_exterior_sweep(parts[a], parts[b])
+        exterior_lr = lr.exterior_sweep_via_lr(parts[a], parts[b])
+        for slot, (i, j) in enumerate([(a, b), (b, a)] if b > a else [(a, a)], 2 * (b - a)):
+            row = counts[width * slot : width * (slot + 1)]
+            ph, pw = row[::2], row[1::2]
+            total += n + 2 * (n + 1)
+            if ph[:n] == hook_oracle and pw == exterior_oracle == exterior_lr:
+                continue
+            checks = [("hook", m, ph[m], hook_oracle[m]) for m in range(n)]
+            for m in range(n + 1):
+                checks.append(("exterior", m, pw[m], exterior_oracle[m]))
+                checks.append(("exterior-lr", m, pw[m], exterior_lr[m]))
+            mismatches += [(i, j, Mismatch(n, parts[i], parts[j], m, q, c, e))
+                           for q, m, c, e in checks if c != e]
     return total, mismatches
 
 
@@ -107,18 +117,19 @@ def verify_range(
     tables = [oracle.character_table(n) for n in degrees]
     if cache is not None:
         oracle.save_cache_file(cache, tables)
-    # first every count, one task per overlap, then every check, one per lam
+    # first every count, one task per overlap, then every check, one per (n, lam_a)
     zetas = [(n, zeta) for n in degrees for k in range(n + 1) for zeta in partitions(k)]
-    sums = {n: [[0] * (2 * (n + 1) * len(partitions(n))) for _ in partitions(n)] for n in degrees}
+    sums = {n: [[0] * (4 * (n + 1) * k) for k in range(len(partitions(n)), 0, -1)] for n in degrees}
     for (n, _), found in zip(zetas, ordered_map(_count_zeta, zetas, jobs)):
         quads = iter(found)
-        for i, at, ph, pw in zip(quads, quads, quads, quads):
-            sums[n][i][at] += ph
-            sums[n][i][at + 1] += pw
-    lams = [(n, lam, sums[n][i]) for n in degrees for i, lam in enumerate(partitions(n))]
+        for a, at, ph, pw in zip(quads, quads, quads, quads):
+            sums[n][a][at] += ph
+            sums[n][a][at + 1] += pw
+    lams = [(n, a, counts) for n in degrees for a, counts in enumerate(sums[n])]
     checks = 0
-    mismatches: list[Mismatch] = []
-    for lam_checks, bad in ordered_map(_check_lam, lams, jobs):
+    tagged: list[tuple[int, int, int, Mismatch]] = []
+    for (n, _, _), (lam_checks, bad) in zip(lams, ordered_map(_check_lam, lams, jobs)):
         checks += lam_checks
-        mismatches.extend(bad)
-    return VerifyReport(checks, tuple(mismatches))
+        tagged += [(n, i, j, mismatch) for i, j, mismatch in bad]
+    tagged.sort(key=lambda t: t[:3])  # stable: each pair keeps its own order
+    return VerifyReport(checks, tuple(t[3] for t in tagged))

@@ -526,6 +526,13 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_a_cache_in_a_missing_directory_is_named_as_given(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(path) in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_error_exits_2(self, capsys, monkeypatch):
         import hookkron.oracle as oracle
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import hookkron
 import hookkron.hook_rule as hook_rule
-from hookkron import oracle, parallel, shapes
+from hookkron import lr, oracle, parallel, shapes
 from hookkron.errors import TooLargeError
 from hookkron.shapes import contains, partitions
 from hookkron.verify import Mismatch, verify_range
@@ -54,6 +55,16 @@ class TestVerifyRange:
             for f in report.mismatches
         )
         assert "failures" in report.summary()
+
+    def test_mismatches_come_in_the_fixed_order_of_degree_lambda_and_mu(self, monkeypatch):
+        # every hook count zero: 71 of the 83 ordered pairs fail, each pair and its swap apart
+        monkeypatch.setattr(hook_rule, "balanced_cocorner", lambda tp: None)
+        report = verify_range(3, 5, jobs=1)
+        index = {p: i for n in range(3, 6) for i, p in enumerate(partitions(n))}
+        where = [(f.n, index[f.lam], index[f.mu]) for f in report.mismatches]
+        assert where == sorted(where)
+        assert {(n, j, i) for n, i, j in where} == set(where)
+        assert len(set(where)) == 71
 
     def test_one_search_per_lambda_and_overlap(self, monkeypatch):
         searched = []
@@ -111,6 +122,55 @@ class TestVerifyRange:
         monkeypatch.setattr(oracle, "exterior_multiplicity", per_call)
         report = verify_range(4, 5)
         assert report.summary() == "checks: 1183, all pass"
+
+    def test_one_oracle_and_one_lr_sweep_per_unordered_pair(self, monkeypatch):
+        # p(p + 1)/2 pairs per degree: 15 at n = 4 and 28 at n = 5, not 5² + 7² = 74
+        calls = {"oracle": 0, "lr": 0}
+
+        def counted(name, sweep):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return sweep(*args, **kwargs)
+            return call
+
+        for module, name, sweep in [(oracle, "oracle", "hook_exterior_sweep"),
+                                    (lr, "lr", "exterior_sweep_via_lr")]:
+            monkeypatch.setattr(module, sweep, counted(name, getattr(module, sweep)))
+        assert verify_range(4, 5).summary() == "checks: 1183, all pass"
+        assert calls == {"oracle": 43, "lr": 43}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("side", ["exterior-lr", "exterior"])
+    def test_a_planted_sweep_fault_is_reported_for_both_orders(self, monkeypatch, side, jobs):
+        # an expected value one too high at m = 1 for {(3,1), (2,2)}, in whichever order asked
+        if jobs > 1 and multiprocessing.get_all_start_methods()[0] != "fork":
+            pytest.skip("only forked workers inherit the planted fault")
+        planted = {(3, 1), (2, 2)}
+
+        if side == "exterior-lr":
+            sweep = lr.exterior_sweep_via_lr
+
+            def faulty(lam, mu):
+                exterior = sweep(lam, mu)
+                exterior[1] += {lam, mu} == planted
+                return exterior
+
+            monkeypatch.setattr(lr, "exterior_sweep_via_lr", faulty)
+        else:
+            sweep = oracle.hook_exterior_sweep
+
+            def faulty(lam, mu, **kwargs):
+                hook, exterior = sweep(lam, mu, **kwargs)
+                exterior[1] += {lam, mu} == planted
+                return hook, exterior
+
+            monkeypatch.setattr(oracle, "hook_exterior_sweep", faulty)
+        report = verify_range(4, 4, jobs=jobs)
+        assert report.summary() == "checks: 350, failures: 2"
+        assert [str(f) for f in report.mismatches] == [
+            f"FAIL n=4 lambda=3,1 mu=2,2 m=1 {side}: counted 1, expected 2",
+            f"FAIL n=4 lambda=2,2 mu=3,1 m=1 {side}: counted 1, expected 2",
+        ]
 
 
 def _no_pool(*args, **kwargs):
