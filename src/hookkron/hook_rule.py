@@ -24,14 +24,15 @@ from .shapes import (
     Cell,
     Partition,
     SkewShape,
+    _conjugate,
     _ints,
+    _sorted_corners,
     add_cell,
     canonical_labels,
     conjugate,
     contains,
     format_cell,
     format_partition,
-    inner_cocorners,
     inner_corners,
     label_size,
     lt_sw,
@@ -54,12 +55,13 @@ class TypedPicture:
     picture: Picture
 
     def __post_init__(self):
-        label_size(self.lam, self.mu)
+        if type(n := sum(self.lam)) is not int or sum(self.mu) != n:  # label_size's two rules
+            label_size(self.lam, self.mu)  # raises, with its own type and message
         # exact: only canonical labels match; the shapes are nested, so zeta lies in lam and mu
         source, target = self.picture.source, self.picture.target
-        if (target.outer, target.inner) != (self.lam, self.zeta):
+        if target.outer != self.lam or target.inner != self.zeta:
             raise ValueError("picture target must be the lam/zeta shape")
-        if (conjugate(source.outer), conjugate(source.inner)) != (self.mu, self.zeta):
+        if _conjugate(source.outer) != self.mu or _conjugate(source.inner) != self.zeta:
             raise ValueError("picture source must be the transposed mu/zeta shape")
 
     @property
@@ -98,17 +100,16 @@ def _zeta_counts(
     a single count passes ``bound`` = mu' and meets that mu alone."""
     target = SkewShape(lam, zeta)
     tgt, inner = target.cells(), conjugate(zeta)
-    sources: dict[Partition, tuple[Partition, SkewShape]] = {}
-    counts: dict[Partition, tuple[int, int]] = {}
+    leaves: dict[Partition, list] = {}  # per leaf shape mu': [mu, mu'/zeta', hits, total]
     for shape, cells in _search(target, inner, bound):
-        if shape not in sources:  # the memoised conjugates, so caches keyed by shape share them
+        # the memoised conjugates, so caches keyed by shape share them
+        if (leaf := leaves.get(shape)) is None:
             mu = conjugate(shape)
-            sources[shape] = mu, SkewShape(conjugate(mu), inner)
-        mu, source = sources[shape]
-        tp = TypedPicture(lam, mu, zeta, Picture(source, target, dict(zip(cells, tgt))))
-        hits, total = counts.get(mu, (0, 0))
-        counts[mu] = hits + (with_hook and balanced_cocorner(tp) is not None), total + 1
-    return {mu: (hits if with_hook else None, total) for mu, (hits, total) in counts.items()}
+            leaf = leaves[shape] = [mu, SkewShape(conjugate(mu), inner), 0, 0]
+        tp = TypedPicture(lam, leaf[0], zeta, Picture(leaf[1], target, zip(cells, tgt)))
+        leaf[2] += with_hook and balanced_cocorner(tp) is not None
+        leaf[3] += 1
+    return {mu: (hits if with_hook else None, total) for mu, _, hits, total in leaves.values()}
 
 
 def pw_m_set(lam: Partition, mu: Partition, m: int) -> list[TypedPicture]:
@@ -129,7 +130,7 @@ def balanced_cocorner(tp: TypedPicture) -> Cell | None:
     p = tp.picture
     outer, inner, image = p.source.outer, p.source.inner, p._map
     rows_inner = len(inner)
-    for z in inner_cocorners(p.target):
+    for z in _sorted_corners(p.target.inner):  # memoised: read, not copied
         top, (r0, c0) = z[1], z
         for i in range(len(outer), top - 1, -1):
             lo = inner[i - 1] if i <= rows_inner else 0

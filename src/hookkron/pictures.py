@@ -11,7 +11,7 @@ reference ``tests/util.py::value_search``.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidCocornerError, NotAddableError, NotRemmelWhitneyError
 from .shapes import (
@@ -45,7 +45,12 @@ class Picture:
 
     __slots__ = ("source", "target", "_map", "_inv")
 
-    def __init__(self, source: SkewShape, target: SkewShape, mapping: Mapping[Cell, Cell]):
+    def __init__(
+        self,
+        source: SkewShape,
+        target: SkewShape,
+        mapping: Mapping[Cell, Cell] | Iterable[tuple[Cell, Cell]],
+    ):
         self.source = source
         self.target = target
         self._map = dict(mapping)
@@ -147,7 +152,7 @@ def rw_to_picture(
 def enumerate_pictures(source: SkewShape, target: SkewShape) -> list[Picture]:
     """All pictures from ``source`` onto ``target``, one validated per search leaf."""
     src, leaves = source.cells(), _search(source, target.inner, target.outer)
-    return [Picture(source, target, dict(zip(src, cells))) for _, cells in leaves]
+    return [Picture(source, target, zip(src, cells)) for _, cells in leaves]
 
 
 def _search(

@@ -197,10 +197,6 @@ class SkewShape:
         """Row ``i`` occupies columns ``inner+1 .. outer`` (inclusive)."""
         return self.inner_len(i), self.outer[i - 1]
 
-    def row_cells(self, i: int) -> list[Cell]:
-        lo, hi = self.row_bounds(i)
-        return [(i, j) for j in range(lo + 1, hi + 1)]
-
     def cells(self) -> tuple[Cell, ...]:
         """All cells in reading order: bottom row first, left to right."""
         return _reading_cells(self)

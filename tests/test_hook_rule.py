@@ -146,20 +146,38 @@ class TestPwSets:
 
 
 class TestTypedPictureLabels:
+    # each refusal pinned by exact type and message: the size rule is summed
+    # inline and label_size is called only to raise
+
+    @staticmethod
+    def refusal(lam, mu, zeta, picture) -> tuple[type, str]:
+        with pytest.raises(ValueError) as info:
+            TypedPicture(lam, mu, zeta, picture)
+        return type(info.value), str(info.value)
+
     def test_sizes_differ(self):
         picture = pw_set((2, 1), (2, 1), (1,))[0].picture
-        with pytest.raises(SizeMismatchError):
-            TypedPicture((2, 1), (2,), (1,), picture)
+        assert self.refusal((2, 1), (2,), (1,), picture) == (
+            SizeMismatchError, "labels must partition the same n: (2, 1), (2,)"
+        )
+
+    def test_a_part_that_is_not_an_int(self):
+        picture = pw_set((2, 1), (2, 1), (1,))[0].picture
+        assert self.refusal((2.0, 1), (2, 1), (1,), picture) == (
+            ValueError, "expected an integer part, got 2.0"
+        )
 
     def test_zeta_does_not_match_the_target(self):
         picture = pw_set((2, 1), (2, 1), (1,))[0].picture
-        with pytest.raises(ValueError):
-            TypedPicture((2, 1), (2, 1), (2,), picture)
+        assert self.refusal((2, 1), (2, 1), (2,), picture) == (
+            ValueError, "picture target must be the lam/zeta shape"
+        )
 
     def test_mu_does_not_match_the_source(self):
         picture = pw_set((3, 1), (2, 2), (2,))[0].picture
-        with pytest.raises(ValueError, match="source"):
-            TypedPicture((3, 1), (3, 1), (2,), picture)
+        assert self.refusal((3, 1), (3, 1), (2,), picture) == (
+            ValueError, "picture source must be the transposed mu/zeta shape"
+        )
 
 
 class TestBalancedFeatures:

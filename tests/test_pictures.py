@@ -17,7 +17,7 @@ from hookkron.errors import (
     NotRemovableError,
     RangeError,
 )
-from hookkron.hook_rule import decompose_tensor_hook
+from hookkron.hook_rule import decompose_tensor_hook, pw_m_set
 from hookkron.lr import lr_coefficient
 from hookkron.pictures import (
     Picture,
@@ -85,6 +85,9 @@ class TestPictureValidation:
              "inverse not order-preserving at (1, 2), (1, 3)"),
             (((3, 2, 1), (2, 1)), ((3,), ()), {(1, 3): (1, 1), (2, 2): (1, 2), (3, 1): (1, 3)},
              "inverse not order-preserving at (1, 1), (1, 2)"),
+            # pairs, as many as the source cells, one source cell repeated: (1,2) is left out
+            (((2,), ()), ((2,), ()), [((1, 1), (1, 1)), ((1, 1), (1, 2))],
+             "mapping keys must be exactly the source cells"),
         ],
     )
     def test_malformed_mapping_messages(self, source, target, mapping, message):
@@ -125,6 +128,36 @@ class TestPictureValidation:
         decompose_tensor_hook((5, 4, 3, 2, 1), 7)
         info = memo.cache_info()
         assert info.currsize <= info.maxsize
+
+    def test_pairs_build_the_dict_built_picture(self):
+        # the counting paths pass zip(...) pairs; every picture with n <= 6
+        pictures = 0
+        for n in range(1, 7):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    for m in range(n + 1):
+                        for tp in pw_m_set(lam, mu, m):
+                            source, target = tp.picture.source, tp.picture.target
+                            pairs = tp.picture.pairs()
+                            images = [y for _, y in pairs]
+                            from_dict = Picture(source, target, dict(pairs))
+                            from_pairs = Picture(source, target, zip(source.cells(), images))
+                            assert from_pairs == from_dict
+                            assert from_pairs.pairs() == from_dict.pairs() == pairs
+                            assert all(
+                                from_pairs.inverse(y) == from_dict.inverse(y)
+                                for y in target.cells()
+                            )
+                            pictures += 1
+        assert pictures == 818
+
+    def test_the_callers_dict_is_copied(self):
+        mapping = {(1, 1): (1, 1), (1, 2): (1, 2)}
+        p = Picture(skew((2,), ()), skew((2,), ()), mapping)
+        mapping[(1, 1)], mapping[(1, 2)] = (1, 2), (1, 1)
+        del mapping[(1, 2)]
+        assert p.pairs() == [((1, 1), (1, 1)), ((1, 2), (1, 2))]
+        assert len(p) == 2 and p.inverse((1, 2)) == (1, 2)
 
     def test_identity_on_single_cell(self):
         p = Picture(skew((1,), ()), skew((1,), ()), {(1, 1): (1, 1)})

@@ -162,7 +162,7 @@ class TestSkew:
         s = skew((5, 5, 4, 3), (4, 3, 2))
         assert (4, 1) in s and (1, 5) in s
         assert (1, 4) not in s and (5, 1) not in s
-        assert s.row_cells(3) == [(3, 3), (3, 4)]
+        assert [cell for cell in util.row_by_row_cells(s) if cell[0] == 3] == [(3, 3), (3, 4)]
         assert s.length == 4
 
     def test_reading_order(self):

@@ -241,8 +241,9 @@ def tableau_to_json(t: PartialTableau) -> dict:
 
 
 def row_by_row_cells(shape: SkewShape) -> tuple[tuple[int, int], ...]:
-    """``shape.cells()`` built through ``row_cells``, bottom row first."""
-    return tuple(cell for i in range(shape.length, 0, -1) for cell in shape.row_cells(i))
+    """``shape.cells()`` built from each row's ``row_bounds``, bottom row first."""
+    rows = ((i, *shape.row_bounds(i)) for i in range(shape.length, 0, -1))
+    return tuple((i, j) for i, lo, hi in rows for j in range(lo + 1, hi + 1))
 
 
 def probed_neighbour_pairs(shape: SkewShape) -> tuple:
