@@ -195,20 +195,23 @@ def step_F(tp: TypedPicture) -> TypedPicture:
 def multiplicity_exterior(lam: Partition, mu: Partition, m: int) -> int:
     """Multiplicity of ``mu`` in ``lam`` tensored with the m-th exterior power
     of the defining module: the total picture count."""
-    return _table_row(*canonical_labels(lam, mu, m=m, exterior=True), m, with_hook=False).pw
+    lam, mu = canonical_labels(lam, mu, m=m, exterior=True)
+    return sum(row.pw for row in _decompose(lam, m, with_hook=False, mu=mu).rows)
 
 
 def multiplicity_hook(lam: Partition, mu: Partition, m: int) -> int:
     """Multiplicity of ``mu`` in ``lam`` tensored with the hook of leg ``m``:
     the number of pictures with a balanced cocorner."""
-    return _table_row(*canonical_labels(lam, mu, m=m), m, with_hook=True).ph
+    lam, mu = canonical_labels(lam, mu, m=m)
+    return sum(row.ph for row in _decompose(lam, m, with_hook=True, mu=mu).rows)
 
 
 def picture_counts(lam: Partition, mu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-leg counts (hook, exterior) for m = 0..n, one single count per leg."""
     lam, mu = canonical_labels(lam, mu)
-    rows = [_table_row(lam, mu, m, with_hook=True) for m in range(sum(lam) + 1)]
-    return tuple(row.ph for row in rows), tuple(row.pw for row in rows)
+    legs = [_decompose(lam, m, with_hook=True, mu=mu).rows for m in range(sum(lam) + 1)]
+    hook = tuple(sum(row.ph for row in rows) for rows in legs)
+    return hook, tuple(sum(row.pw for row in rows) for rows in legs)
 
 
 def _count_record(label: str, parts: Partition, ph: int | None, pw: int) -> dict:
@@ -252,32 +255,24 @@ class DecompositionTable:
         return {"lambda": list(self.lam), "m": self.m, "rows": rows}
 
 
-def _table_row(lam: Partition, mu: Partition, m: int, with_hook: bool) -> TableRow:
-    """One mu's row for a single count: per overlap, its pictures mu'/zeta' ->
-    lam/zeta, searched from lam/zeta bounded to mu'/zeta', and (only
-    ``with_hook``) those with a balanced cocorner."""
-    bound, by_zeta = conjugate(mu), []
-    for zeta in _overlaps(lam, mu, m):
-        if counts := _zeta_counts(lam, zeta, with_hook, bound):
-            by_zeta.append(ZetaCount(zeta, *counts[mu]))
-    return _row(mu, by_zeta, with_hook)
-
-
-def _row(mu: Partition, by_zeta: list[ZetaCount], with_hook: bool) -> TableRow:
-    ph_total = sum(zc.ph for zc in by_zeta) if with_hook else None
-    return TableRow(mu, ph_total, sum(zc.pw for zc in by_zeta), tuple(by_zeta))
-
-
-def _decompose(lam: Partition, m: int, with_hook: bool, jobs: int = 1) -> DecompositionTable:
+def _decompose(
+    lam: Partition, m: int, with_hook: bool, jobs: int = 1, mu: Partition | None = None
+) -> DecompositionTable:
     """Every row of leg size ``m`` at once: one search per overlap serves every
-    mu, and the overlaps are fanned out."""
-    zetas = partitions_inside(lam, sum(lam) - m)
-    task = functools.partial(_zeta_counts, lam, with_hook=with_hook)
-    by_mu: dict[Partition, list[ZetaCount]] = {}
+    mu, and the overlaps are fanned out.  A single count passes ``mu``: its row
+    alone, or none, from the overlaps inside lam and mu, each search bounded to mu'."""
+    zetas = _overlaps(lam, lam if mu is None else mu, m)
+    bound = None if mu is None else conjugate(mu)
+    task = functools.partial(_zeta_counts, lam, with_hook=with_hook, bound=bound)
+    by_nu: dict[Partition, list[ZetaCount]] = {}
     for zeta, counts in zip(zetas, ordered_map(task, zetas, jobs)):
-        for mu, (ph, pw) in counts.items():
-            by_mu.setdefault(mu, []).append(ZetaCount(zeta, ph, pw))
-    rows = (_row(mu, by_mu[mu], with_hook) for mu in partitions(sum(lam)) if mu in by_mu)
+        for nu, (ph, pw) in counts.items():
+            by_nu.setdefault(nu, []).append(ZetaCount(zeta, ph, pw))
+    rows = []
+    for nu in partitions(sum(lam)):
+        if by_zeta := by_nu.get(nu):
+            ph = sum(zc.ph for zc in by_zeta) if with_hook else None
+            rows.append(TableRow(nu, ph, sum(zc.pw for zc in by_zeta), tuple(by_zeta)))
     return DecompositionTable(lam, m, tuple(rows))
 
 

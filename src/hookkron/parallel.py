@@ -25,8 +25,9 @@ def ordered_map(fn: Callable[[T], R], tasks: Iterable[T], jobs: int = 1) -> list
     """
     check_jobs(jobs)
     items: Sequence[T] = list(tasks)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    jobs = min(jobs, cpus or 1)
+    if jobs > 1:  # the CPU count only clamps a pool
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        jobs = min(jobs, cpus or 1)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (jobs * 4))

@@ -523,9 +523,25 @@ class TestOverlapStep:
                 for m in range(n + 1):
                     for with_hook in (True, False):
                         expected = util.table_row_by_pw_set(lam, mu, m, with_hook)
-                        assert hook_rule._table_row(lam, mu, m, with_hook) == expected
+                        got = hook_rule._decompose(lam, m, with_hook, mu=mu).rows
+                        assert got == ((expected,) if expected.pw else ())
                         rows += 1
         assert rows == {1: 4, 2: 24, 3: 72, 4: 250, 5: 588, 6: 1694, 7: 3600, 8: 8712}[n]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_the_bounded_rows_make_up_the_table(self, n):
+        # one builder: each table (every lam |- n, every m, both kinds) is the
+        # concatenation of its one-row tables, bounded to each mu |- n in
+        # partition order, by_zeta included
+        for lam in partitions(n):
+            for m in range(n + 1):
+                for with_hook in (True, False):
+                    bounded = [
+                        row
+                        for mu in partitions(n)
+                        for row in hook_rule._decompose(lam, m, with_hook, mu=mu).rows
+                    ]
+                    assert hook_rule._decompose(lam, m, with_hook).rows == tuple(bounded)
 
     @pytest.mark.parametrize(
         "count, expected", [(multiplicity_hook, 451), (multiplicity_exterior, 797)]

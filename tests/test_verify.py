@@ -200,6 +200,15 @@ class TestOrderedMap:
         tasks = list(range(10))
         assert parallel.ordered_map(abs, tasks, jobs=64) == [abs(t) for t in tasks]
 
+    def test_one_worker_reads_no_cpu_count(self, monkeypatch):
+        # every single count maps with one worker, which needs no CPU count
+        def unread(*args):
+            raise AssertionError("one worker reads no CPU count")
+
+        monkeypatch.setattr(os, "sched_getaffinity", unread, raising=False)
+        monkeypatch.setattr(os, "cpu_count", unread)
+        assert parallel.ordered_map(abs, [-1, 2], 1) == [1, 2]
+
     @pytest.mark.parametrize("jobs", [0, -3, True, 1.5], ids=["zero", "negative", "true", "float"])
     @pytest.mark.parametrize("caller", ["verify_range", "decompose_tensor_hook"])
     def test_a_worker_count_that_is_not_a_positive_int_is_refused(self, caller, jobs):

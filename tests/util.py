@@ -349,8 +349,8 @@ def step_F_by_picture_delete(tp) -> TypedPicture:
 
 
 def table_row_by_pw_set(lam, mu, m: int, with_hook: bool) -> TableRow:
-    """``hook_rule._table_row`` by the per-overlap picture sets: per overlap
-    zeta, ``pw_set`` and ``balanced_cocorner`` on each of its pictures."""
+    """One mu's table row by the per-overlap picture sets, zero rows kept:
+    per overlap zeta, ``pw_set`` and ``balanced_cocorner`` on each of its pictures."""
     by_zeta = []
     for zeta in _overlaps(lam, mu, m):
         if pics := pw_set(lam, mu, zeta):
